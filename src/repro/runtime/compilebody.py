@@ -347,6 +347,76 @@ def _store_value(block, offset: int, elem_size: int, elem_type, value) -> None:
     block.cells[offset] = stored
 
 
+# A subscript chain with as many subscripts as its CArray has dimensions
+# resolves to one flat byte offset: each subscript is checked against its
+# own dimension, outermost first, with ``subarray_pointer``'s message, and
+# the element is read or written straight from ``block.cells`` with no
+# intermediate ``Pointer``.  All three backends resolve evaluated chains
+# through ``_index_ref`` (the walker's ``_resolve_index`` included).
+
+
+def _element_offset(arr: CArray, indices) -> int:
+    """Byte offset of the full-rank element ``arr[i0]...[iN]``.
+
+    Checking each subscript against its own dimension, not the flat
+    offset against the block, is what makes ``a[0][3]`` on ``int a[2][3]``
+    fault although its flat offset lies inside the block.
+    """
+    offset = 0
+    for i, dim, stride in zip(indices, arr.dims, arr.strides):
+        if i < 0 or i >= dim:
+            raise segv_fault(f"array index {i} out of bounds for dimension of size {dim}")
+        offset += i * stride
+    return offset * arr.elem_size
+
+
+class _CellRef:
+    """Generic-lvalue view of one full-rank array element (``_PtrRef``
+    without the ``Pointer``)."""
+
+    __slots__ = ("block", "offset", "elem_size", "elem_type")
+
+    def __init__(self, block, offset, elem_size, elem_type):
+        self.block = block
+        self.offset = offset
+        self.elem_size = elem_size
+        self.elem_type = elem_type
+
+    def load(self):
+        block = self.block
+        if block.freed:
+            raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
+        return block.cells.get(self.offset, 0)
+
+    def store(self, value) -> None:
+        _store_value(self.block, self.offset, self.elem_size, self.elem_type, value)
+
+    def address(self):
+        return Pointer(self.block, self.offset, self.elem_type, self.elem_size)
+
+
+def _index_ref(base, indices):
+    """Resolve an evaluated chain ``base[i0]...[iN]`` (int subscripts,
+    source order) to a ref, faulting exactly like the walker."""
+    if base is UNINIT or base is None or base == 0:
+        raise segv_fault("subscript of NULL or uninitialized pointer")
+    if base.__class__ is CArray and len(indices) == len(base.dims):
+        return _CellRef(
+            base.block, _element_offset(base, indices), base.elem_size, base.elem_type
+        )
+    try:
+        if isinstance(base, CArray):
+            return _PtrRef(base.subarray_pointer(indices))
+        if isinstance(base, Pointer):
+            ptr = base
+            for i in indices:
+                ptr = ptr.index(i)
+            return _PtrRef(ptr)
+    except MemoryFault as exc:
+        raise segv_fault(str(exc)) from exc
+    raise segv_fault("subscript applied to a non-array value")
+
+
 def _static_flatten(init: ast.InitList) -> list[ast.Expr]:
     flat: list[ast.Expr] = []
     for item in init.items:
@@ -1697,7 +1767,7 @@ class _Lowerer:
         return make
 
     def _lower_index_ref(self, expr: ast.Index):
-        """Generic index chain → ``_PtrRef`` (mirrors ``_resolve_index``)."""
+        """Generic index chain → ref (mirrors ``_resolve_index``)."""
         index_makers = []
         node: ast.Expr = expr
         while isinstance(node, ast.Index):

@@ -115,14 +115,22 @@ class Pointer:
     block: HeapBlock
     byte_offset: int
     pointee: CType
-    #: element size, cached at construction — every load/store needs it
-    elem_size: int = field(init=False, compare=False, repr=False, default=0)
+    #: element size — every load/store needs it.  Computed from
+    #: ``pointee`` when not given; pointers derived from one with the
+    #: same pointee pass it along instead.
+    elem_size: int = field(compare=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        self.elem_size = sizeof_type(self.pointee)
+        if not self.elem_size:
+            self.elem_size = sizeof_type(self.pointee)
 
     def add(self, elements: int) -> "Pointer":
-        return Pointer(self.block, self.byte_offset + elements * self.elem_size, self.pointee)
+        return Pointer(
+            self.block,
+            self.byte_offset + elements * self.elem_size,
+            self.pointee,
+            self.elem_size,
+        )
 
     def load(self):
         return self.block.load(self.byte_offset, self.elem_size)
@@ -142,7 +150,7 @@ class CArray:
     """A declared (stack or global) array, possibly multi-dimensional.
 
     Represented as a heap block plus shape metadata; element access
-    computes the flattened byte offset.
+    computes the flattened byte offset from the row-major ``strides``.
     """
 
     elem_type: CType
@@ -150,9 +158,17 @@ class CArray:
     block: HeapBlock = None  # type: ignore[assignment]
     #: element size, cached at construction (see :class:`Pointer`)
     elem_size: int = field(init=False, compare=False, repr=False, default=0)
+    #: element stride of each dimension (row-major), cached at construction
+    strides: tuple[int, ...] = field(init=False, compare=False, repr=False, default=())
 
     def __post_init__(self) -> None:
         self.elem_size = sizeof_type(self.elem_type)
+        strides = []
+        stride = 1
+        for d in reversed(self.dims):
+            strides.append(stride)
+            stride *= d
+        self.strides = tuple(reversed(strides))
         if self.block is None:
             total = 1
             for d in self.dims:
@@ -172,22 +188,14 @@ class CArray:
         """Pointer to the element/subarray at the given leading indices."""
         if len(indices) > len(self.dims):
             raise MemoryFault("too many subscripts for array")
-        stride = 1
-        for d in self.dims[len(indices):]:
-            stride *= d
         offset = 0
-        remaining = self.dims[:]
-        for idx, dim in zip(indices, self.dims):
+        for idx, dim, stride in zip(indices, self.dims, self.strides):
             if idx < 0 or idx >= dim:
                 raise MemoryFault(
                     f"array index {idx} out of bounds for dimension of size {dim}"
                 )
-            inner = 1
-            for d in remaining[1:]:
-                inner *= d
-            offset += idx * inner
-            remaining = remaining[1:]
-        return Pointer(self.block, offset * self.elem_size, self.elem_type)
+            offset += idx * stride
+        return Pointer(self.block, offset * self.elem_size, self.elem_type, self.elem_size)
 
 
 RuntimeValue = Union[int, float, str, Pointer, CArray, _Uninitialized, None]

@@ -508,7 +508,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            raise ProtocolError(f"Content-Length is not an integer: {header!r}") from None
         if length <= 0:
             raise ProtocolError("request body required")
         raw = self.rfile.read(length)
