@@ -4,9 +4,9 @@ The execute stage bounds the validation pipeline's cold-cache floor
 (up to 2M steps per program, per mutant, per experiment), so interpreter
 steps/sec is the substrate's core performance number.  This module:
 
-* benchmarks steps/sec per backend over four representative program
-  shapes (scalar loop-heavy, array traversal, directive-heavy, fault
-  path) so the perf trajectory is tracked from PR 2 on;
+* benchmarks steps/sec per backend over five representative program
+  shapes (scalar loop-heavy, 1-D array traversal, 2-D matmul,
+  directive-heavy, fault path) so the perf trajectory is tracked;
 * asserts the closure backend is >= 2x walk and the codegen backend is
   >= 2x closure on the scalar loop-heavy kernel (coarse CI guards with
   generous margin — locally closure/walk is 5-10x);
@@ -14,10 +14,13 @@ steps/sec is the substrate's core performance number.  This module:
   ``benchmarks/output/BENCH_interpreter.json`` with steps/sec per
   backend and the pairwise ratios.
 
-The array-traversal kernel is reported but not gated: element loads and
-stores go through the semantics helpers shared by closure and codegen
-alike, so the codegen/closure ratio there is structurally lower than on
-scalar arithmetic (observed ~1.9x vs ~2.4x).
+The array-traversal and matmul kernels are reported but not gated:
+element loads and stores go through the semantics helpers shared by
+closure and codegen alike, so the codegen/closure ratio there is
+structurally lower than on scalar arithmetic (observed ~1.9x vs ~2.4x).
+The matmul kernel is the template corpus's ``matmul_collapse`` shape, so
+it exercises the full-rank ``a[i][j]`` addressing that cold validation
+actually spends its execute time on.
 
 All backends must also produce byte-identical results here — the
 equivalence suite proper lives in ``tests/test_backend_equivalence.py``.
@@ -81,6 +84,29 @@ int main() {
 }
 """
 
+#: Reported but not gated: 2-D full-rank subscripts (fused loads and a
+#: fused compound store per inner iteration), M=16.
+MATMUL_2D = r"""
+#include <stdio.h>
+#define M 16
+int main() {
+    double ma[M][M]; double mb[M][M]; double mc[M][M];
+    for (int i = 0; i < M; i++) {
+        for (int j = 0; j < M; j++) {
+            ma[i][j] = (i + j) % 7;
+            mb[i][j] = (i * j) % 5;
+            mc[i][j] = 0.0;
+        }
+    }
+    for (int i = 0; i < M; i++)
+        for (int j = 0; j < M; j++)
+            for (int k = 0; k < M; k++)
+                mc[i][j] += ma[i][k] * mb[k][j];
+    printf("c=%f\n", mc[M - 1][M - 1]);
+    return 0;
+}
+"""
+
 DIRECTIVE_HEAVY = r"""
 #include <stdio.h>
 #include <openacc.h>
@@ -121,6 +147,7 @@ int main() {
 PROGRAMS = {
     "loop_heavy": LOOP_HEAVY,
     "array_traversal": ARRAY_TRAVERSAL,
+    "matmul_2d": MATMUL_2D,
     "directive_heavy": DIRECTIVE_HEAVY,
     "fault_path": FAULT_PATH,
 }

@@ -31,7 +31,7 @@ directive constructs are emitted as nested ``def _consK(frame)``
 functions and bound through the exact same action factories.
 
 Tick placement and step-limit renormalization mirror the walker
-exactly — including the fused 3-tick superinstructions with their
+exactly — including the fused superinstructions with their
 ``st[0] = L + 1`` renormalization on overflow — so ``ExecutionResult``
 (returncode, stdout, stderr, fault, timed_out **and steps**) stays
 byte-identical across all three backends, which
@@ -59,8 +59,14 @@ from repro.runtime.compilebody import (
     _Runtime,
     _S32,
     _SlotRef,
+    _chain_target,
+    _chain_target2,
+    _charge_subscripts,
     _coerce_kind,
+    _load_cell,
+    _load_chain,
     _load_element,
+    _load_element2,
     _parse_clause_expr,
     _passthrough_action,
     _static_flatten,
@@ -75,6 +81,7 @@ from repro.runtime.interpreter import (
     _PtrRef,
     _ReturnSignal,
     _VarRef,
+    _index_ref,
     combine_binary,
     combine_compound,
     segv_fault,
@@ -82,7 +89,6 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.values import (
     CArray,
-    MemoryFault,
     Pointer,
     UNINIT,
     coerce_to_type,
@@ -103,7 +109,6 @@ _HELPERS = {
     "_BRK": _BreakSignal,
     "_CNT": _ContinueSignal,
     "_RET": _ReturnSignal,
-    "_MF": MemoryFault,
     "_segv": segv_fault,
     "_truthy": truthy,
     "_coerce": coerce_to_type,
@@ -114,6 +119,13 @@ _HELPERS = {
     "_ccomp": combine_compound,
     "_uv": unary_value,
     "_load_element": _load_element,
+    "_load_element2": _load_element2,
+    "_load_chain": _load_chain,
+    "_load_cell": _load_cell,
+    "_charge_subscripts": _charge_subscripts,
+    "_chain_target": _chain_target,
+    "_chain_target2": _chain_target2,
+    "_index_ref": _index_ref,
     "_store_target": _store_target,
     "_store_value": _store_value,
     "_SlotRef": _SlotRef,
@@ -138,6 +150,10 @@ _HOT_DEFAULTS = ", ".join(
         "_truthy",
         "_segv",
         "_load_element",
+        "_load_element2",
+        "_charge_subscripts",
+        "_chain_target2",
+        "_load_cell",
         "_store_target",
         "_store_value",
     )
@@ -994,14 +1010,19 @@ class _FnEmitter(_Lowerer):
 
     def _emit_assignment(self, expr: ast.Assignment) -> str:
         target = expr.target
+        if isinstance(target, ast.Index):
+            fused = self._fused_chain(target)
+            if fused is not None:
+                binop = None if expr.op == "=" else expr.op[:-1]
+                return self._emit_fused_assign(*fused, binop, expr.value)
+            if expr.op == "=" and not isinstance(target.base, ast.Index):
+                return self._emit_index_assign(target, expr.value)
         if expr.op == "=":
             if isinstance(target, ast.Identifier):
                 binding = self.resolve(target.name)
                 if binding is not None:
                     return self._emit_slot_assign(binding, target, expr.value)
                 return self._emit_global_assign(target.name, expr.value)
-            if isinstance(target, ast.Index) and not isinstance(target.base, ast.Index):
-                return self._emit_index_assign(target, expr.value)
             self.tick()
             ref = self.emit_lvalue(target)
             v = self.bind_ro(self.emit_expr(expr.value))
@@ -1075,15 +1096,22 @@ class _FnEmitter(_Lowerer):
     ) -> str:
         slot, ctype = binding.slot, binding.ctype
         kind = _coerce_kind(ctype)
-        fast_arith = binop in _ARITH_OPS
         target.slot = slot  # annotation
         self.tick()
         v = self.bind_ro(self.emit_expr(value))
         old = self.tmp()
-        combined = self.tmp()
         self.w(f"{old} = frame[{slot}]")
         self.w(f"if {old} is _UNINIT:")
         self.w(f"    {old} = 0")
+        combined = self._emit_combine(binop, old, v)
+        self._emit_store_by_kind(slot, kind, ctype, combined)
+        return combined
+
+    def _emit_combine(self, binop: str, old: str, v: str) -> str:
+        """``old binop v`` for a compound assignment, with the numeric
+        fast path; ``old`` is already UNINIT-normalised."""
+        fast_arith = binop in _ARITH_OPS
+        combined = self.tmp()
         static = self._atom_static(v)
         if static is not None and static not in (int, float):
             fast_arith = False  # e.g. string literal: always the slow path
@@ -1097,38 +1125,69 @@ class _FnEmitter(_Lowerer):
             self.w(f"    {combined} = _ccomp({binop!r}, {old}, {v})")
         else:
             self.w(f"{combined} = _ccomp({binop!r}, {old}, {v})")
-        self._emit_store_by_kind(slot, kind, ctype, combined)
         return combined
 
+    def _emit_fused_assign(self, base_slot: int, subs, binop, value: ast.Expr) -> str:
+        """Fused ``a[i]...[k] = v`` / ``op=`` (closure ``_lower_fused_assign``)."""
+        atoms = self._emit_fused_subscripts(subs)
+        dest = [self.tmp() for _ in range(4)]
+        dest_s = ", ".join(dest)
+        if len(atoms) == 1:
+            self.w(f"{dest_s} = _store_target(frame[{base_slot}], {atoms[0]})")
+        elif len(atoms) == 2:
+            self.w(f"{dest_s} = _chain_target2(frame[{base_slot}], {atoms[0]}, {atoms[1]})")
+        else:
+            self.w(f"{dest_s} = _chain_target(frame[{base_slot}], [{', '.join(atoms)}])")
+        v = self.bind_ro(self.emit_expr(value))
+        if binop is None:
+            self.w(f"_store_value({dest_s}, {v})")
+            return v
+        old = self.tmp()
+        self.w(f"{old} = _load_cell({dest[0]}, {dest[1]}, {dest[2]})")
+        self.w(f"if {old} is _UNINIT:")
+        self.w(f"    {old} = 0")
+        combined = self._emit_combine(binop, old, v)
+        self.w(f"_store_value({dest_s}, {combined})")
+        return combined
+
+    def _emit_fused_subscripts(self, subs) -> list[str]:
+        """Charge a fused chain's ticks (closure ``_lower_fused_load``)
+        and return its int subscript atoms, source order."""
+        ticks = len(subs) + 2
+        if not any(is_slot for is_slot, _ in subs):
+            self.pending += ticks  # constants only: nothing can fault
+            return [self.literal(v) for _, v in subs]
+        atoms = [self.bind(f"frame[{v}]" if is_slot else self.literal(v)) for is_slot, v in subs]
+        checks = " and ".join(
+            f"{a}.__class__ is int" for (is_slot, _), a in zip(subs, atoms) if is_slot
+        )
+        # ticks accrued before the chain are pure too: they join its batch
+        # on the int path and are charged ahead of the walker-order replay
+        earlier, self.pending = self.pending, 0
+        self.w(f"if {checks}:")
+        self.indent()
+        self.pending = earlier + ticks
+        self.dedent()
+        self.w("else:")
+        self.indent()
+        self.pending = earlier
+        self.w(f"{', '.join(atoms)}, = _charge_subscripts(st, L, ({', '.join(atoms)},))")
+        self.dedent()
+        return atoms
+
     def _emit_index_assign(self, target: ast.Index, value: ast.Expr) -> str:
-        """``base[i] = value`` with a single subscript — the hot store.
+        """``base[i] = value`` with a single, non-fused subscript.
 
         Mirrors the walker's order: resolve the destination (index and
         base first, bounds checked), THEN evaluate the right-hand side.
         """
-        base_plan = (
-            self._simple_operand(target.base)
-            if isinstance(target.base, ast.Identifier)
-            else None
-        )
-        index_plan = self._simple_operand(target.index)
         dest = [self.tmp() for _ in range(4)]
         dest_s = ", ".join(dest)
-        if base_plan is not None and base_plan[0] == "slot" and index_plan is not None:
-            # Assignment + index + base = 3 pure ticks, batched
-            self.tick3()
-            index_kind, index_val = index_plan
-            if index_kind == "const":
-                i = self.literal(int(index_val))
-            else:
-                i = self._emit_subscript_int(f"frame[{index_val}]")
-            self.w(f"{dest_s} = _store_target(frame[{base_plan[1]}], {i})")
-        else:
-            self.tick()
-            index = self.bind(self.emit_expr(target.index))
-            i = self._emit_subscript_int(index)
-            base = self.emit_expr(target.base)
-            self.w(f"{dest_s} = _store_target({base}, {i})")
+        self.tick()
+        index = self.bind(self.emit_expr(target.index))
+        i = self._emit_subscript_int(index)
+        base = self.emit_expr(target.base)
+        self.w(f"{dest_s} = _store_target({base}, {i})")
         v = self.bind_ro(self.emit_expr(value))
         self.w(f"_store_value({dest_s}, {v})")
         return v
@@ -1145,40 +1204,40 @@ class _FnEmitter(_Lowerer):
     # -- index loads -------------------------------------------------------
 
     def _emit_index_load(self, expr: ast.Index) -> str:
+        t = self.tmp()
+        fused = self._fused_chain(expr)
+        if fused is not None:
+            base_slot, subs = fused
+            atoms = self._emit_fused_subscripts(subs)
+            if len(atoms) == 1:
+                load = f"_load_element(frame[{base_slot}], {atoms[0]})"
+            elif len(atoms) == 2:
+                load = f"_load_element2(frame[{base_slot}], {atoms[0]}, {atoms[1]})"
+            else:
+                load = f"_load_chain(frame[{base_slot}], [{', '.join(atoms)}])"
+            self.w(f"{t} = {load}")
+            return t
+        self.tick()
         if not isinstance(expr.base, ast.Index):
-            base_plan = (
-                self._simple_operand(expr.base)
-                if isinstance(expr.base, ast.Identifier)
-                else None
-            )
-            index_plan = self._simple_operand(expr.index)
-            t = self.tmp()
-            if base_plan is not None and base_plan[0] == "slot" and index_plan is not None:
-                # fused superinstruction: Index + index + base = 3 ticks
-                self.tick3()
-                index_kind, index_val = index_plan
-                if index_kind == "const":
-                    i = self.literal(int(index_val))
-                else:
-                    i = self._emit_subscript_int(f"frame[{index_val}]")
-                self.w(f"{t} = _load_element(frame[{base_plan[1]}], {i})")
-                return t
-            self.tick()
             index = self.bind(self.emit_expr(expr.index))
             i = self._emit_subscript_int(index)
             base = self.emit_expr(expr.base)
             self.w(f"{t} = _load_element({base}, {i})")
             return t
-        self.tick()
-        ref = self._emit_index_ref(expr)
-        loaded = self.tmp()
-        t = self.tmp()
-        self.w(f"{loaded} = {ref}.load()")
-        self.w(f"{t} = 0 if {loaded} is _UNINIT else {loaded}")
+        base, indices = self._emit_chain(expr)
+        self.w(f"{t} = _load_chain({base}, {indices})")
         return t
 
     def _emit_index_ref(self, expr: ast.Index) -> str:
-        """Generic index chain → ``_PtrRef`` (mirrors ``_resolve_index``)."""
+        """Generic index chain → ref (mirrors ``_resolve_index``)."""
+        base, indices = self._emit_chain(expr)
+        ref = self.tmp()
+        self.w(f"{ref} = _index_ref({base}, {indices})")
+        return ref
+
+    def _emit_chain(self, expr: ast.Index) -> tuple[str, str]:
+        """Evaluate a generic index chain the walker's way (closure
+        ``_lower_chain``) → (base atom, int-indices list atom)."""
         indices = self.tmp()
         self.w(f"{indices} = []")
         node: ast.Expr = expr
@@ -1189,25 +1248,7 @@ class _FnEmitter(_Lowerer):
             self.w(f"{indices}.append(int({v}))")
             node = node.base
         self.w(f"{indices}.reverse()")
-        base = self.bind(self.emit_expr(node))
-        ref = self.tmp()
-        self.w(f"if {base} is _UNINIT or {base} is None or {base} == 0:")
-        self.w("    raise _segv('subscript of NULL or uninitialized pointer')")
-        self.w(f"{ref} = None")
-        self.w("try:")
-        self.w(f"    if isinstance({base}, _CArray):")
-        self.w(f"        {ref} = _PtrRef({base}.subarray_pointer({indices}))")
-        self.w(f"    elif isinstance({base}, _Pointer):")
-        ptr = self.tmp()
-        self.w(f"        {ptr} = {base}")
-        self.w(f"        for _i in {indices}:")
-        self.w(f"            {ptr} = {ptr}.index(_i)")
-        self.w(f"        {ref} = _PtrRef({ptr})")
-        self.w("except _MF as _exc:")
-        self.w("    raise _segv(str(_exc)) from _exc")
-        self.w(f"if {ref} is None:")
-        self.w("    raise _segv('subscript applied to a non-array value')")
-        return ref
+        return self.bind(self.emit_expr(node)), indices
 
     # -- lvalues -----------------------------------------------------------
 

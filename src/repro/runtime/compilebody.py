@@ -56,6 +56,8 @@ from repro.runtime.interpreter import (
     _PtrRef,
     _ReturnSignal,
     _VarRef,
+    _element_offset,
+    _index_ref,
     combine_binary,
     combine_compound,
     pointer_arith,
@@ -347,74 +349,129 @@ def _store_value(block, offset: int, elem_size: int, elem_type, value) -> None:
     block.cells[offset] = stored
 
 
-# A subscript chain with as many subscripts as its CArray has dimensions
-# resolves to one flat byte offset: each subscript is checked against its
-# own dimension, outermost first, with ``subarray_pointer``'s message, and
-# the element is read or written straight from ``block.cells`` with no
-# intermediate ``Pointer``.  All three backends resolve evaluated chains
-# through ``_index_ref`` (the walker's ``_resolve_index`` included).
+# Subscript chains (``a[i][j]...``).  The walker resolves an evaluated
+# chain with ``_index_ref``; the helpers below are its load/store forms
+# for the fast backends.  A full-rank ``CArray`` chain (as many subscripts
+# as dimensions) is one flat offset, each subscript checked against its
+# own dimension (``_element_offset``), read or written straight from
+# ``block.cells`` with no ``Pointer``.  A CArray's block always spans its
+# dims (its own, or a same-size device copy), so once every subscript is
+# in range the flat offset needs no further bounds check.
 
 
-def _element_offset(arr: CArray, indices) -> int:
-    """Byte offset of the full-rank element ``arr[i0]...[iN]``.
+def _load_cell(block, offset: int, elem_size: int):
+    """``block.load`` faulting like ``_PtrRef.load`` (no UNINIT → 0)."""
+    if block.freed:
+        raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
+    if offset < 0 or offset + elem_size > block.size:
+        raise RuntimeFault(
+            f"out-of-bounds read at byte {offset} of {block.size}-byte "
+            f"{block.label} block",
+            139,
+            _SEGV_STDERR,
+        )
+    return block.cells.get(offset, 0)
 
-    Checking each subscript against its own dimension, not the flat
-    offset against the block, is what makes ``a[0][3]`` on ``int a[2][3]``
-    fault although its flat offset lies inside the block.
-    """
-    offset = 0
-    for i, dim, stride in zip(indices, arr.dims, arr.strides):
-        if i < 0 or i >= dim:
-            raise segv_fault(f"array index {i} out of bounds for dimension of size {dim}")
-        offset += i * stride
-    return offset * arr.elem_size
 
-
-class _CellRef:
-    """Generic-lvalue view of one full-rank array element (``_PtrRef``
-    without the ``Pointer``)."""
-
-    __slots__ = ("block", "offset", "elem_size", "elem_type")
-
-    def __init__(self, block, offset, elem_size, elem_type):
-        self.block = block
-        self.offset = offset
-        self.elem_size = elem_size
-        self.elem_type = elem_type
-
-    def load(self):
-        block = self.block
+def _load_chain(base, indices: list[int]):
+    """``base[i0]...[iN]`` for an evaluated chain — the walker's
+    resolve-then-load (UNINIT → 0)."""
+    if base.__class__ is CArray and len(indices) == len(base.dims):
+        block = base.block
         if block.freed:
             raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
-        return block.cells.get(self.offset, 0)
-
-    def store(self, value) -> None:
-        _store_value(self.block, self.offset, self.elem_size, self.elem_type, value)
-
-    def address(self):
-        return Pointer(self.block, self.offset, self.elem_type, self.elem_size)
+        value = block.cells.get(_element_offset(base, indices), 0)
+    else:
+        value = _index_ref(base, indices).load()
+    return 0 if value is UNINIT else value
 
 
-def _index_ref(base, indices):
-    """Resolve an evaluated chain ``base[i0]...[iN]`` (int subscripts,
-    source order) to a ref, faulting exactly like the walker."""
-    if base is UNINIT or base is None or base == 0:
-        raise segv_fault("subscript of NULL or uninitialized pointer")
+def _load_element2(base, i: int, j: int):
+    """``base[i][j]`` — ``_load_chain`` with the 2-D ``CArray`` inlined."""
+    if base.__class__ is CArray:
+        dims = base.dims
+        if len(dims) == 2:
+            d0, d1 = dims
+            if i < 0 or i >= d0:
+                raise segv_fault(f"array index {i} out of bounds for dimension of size {d0}")
+            if j < 0 or j >= d1:
+                raise segv_fault(f"array index {j} out of bounds for dimension of size {d1}")
+            block = base.block
+            if block.freed:
+                raise RuntimeFault(f"read from freed {block.label} block", 139, _SEGV_STDERR)
+            value = block.cells.get((i * d1 + j) * base.elem_size, 0)
+            return 0 if value is UNINIT else value
+    return _load_chain(base, [i, j])
+
+
+def _chain_target(base, indices: list[int]):
+    """Resolve an evaluated chain as a store destination → (block,
+    offset, elem_size, elem_type); raises exactly like ``_index_ref``."""
     if base.__class__ is CArray and len(indices) == len(base.dims):
-        return _CellRef(
-            base.block, _element_offset(base, indices), base.elem_size, base.elem_type
-        )
-    try:
-        if isinstance(base, CArray):
-            return _PtrRef(base.subarray_pointer(indices))
-        if isinstance(base, Pointer):
-            ptr = base
-            for i in indices:
-                ptr = ptr.index(i)
-            return _PtrRef(ptr)
-    except MemoryFault as exc:
-        raise segv_fault(str(exc)) from exc
-    raise segv_fault("subscript applied to a non-array value")
+        return (base.block, _element_offset(base, indices), base.elem_size, base.elem_type)
+    ptr = _index_ref(base, indices).address()
+    return (ptr.block, ptr.byte_offset, ptr.elem_size, ptr.pointee)
+
+
+def _chain_target2(base, i: int, j: int):
+    """``_chain_target`` for ``base[i][j]`` with the in-range 2-D
+    ``CArray`` inlined."""
+    if base.__class__ is CArray:
+        dims = base.dims
+        if len(dims) == 2 and 0 <= i < dims[0] and 0 <= j < dims[1]:
+            elem_size = base.elem_size
+            return (base.block, (i * dims[1] + j) * elem_size, elem_size, base.elem_type)
+    return _chain_target(base, [i, j])
+
+
+def _charge_subscripts(st, limit: int, values) -> list[int]:
+    """Charge a fused chain's ticks one at a time, in the walker's order.
+
+    The fallback for a fused chain whose subscripts are not all ints:
+    the Index (or Assignment) node ticks, then each subscript innermost
+    first — an UNINIT one faults right after its own tick — then the
+    base.  ``values`` are the subscripts in source order; returns them
+    as ints.
+    """
+    st[0] = n = st[0] + 1
+    if n > limit:
+        raise StepLimitExceeded(limit)
+    indices = []
+    for value in reversed(values):
+        st[0] = n = n + 1
+        if n > limit:
+            raise StepLimitExceeded(limit)
+        if value is UNINIT:
+            raise segv_fault("array subscript is uninitialized")
+        indices.append(int(value))
+    st[0] = n = n + 1
+    if n > limit:
+        raise StepLimitExceeded(limit)
+    indices.reverse()
+    return indices
+
+
+def _fused_fetch(subs, ticks: int):
+    """``fetch(frame, st, limit)`` → a fused chain's int subscripts.
+
+    ``subs`` are (is_slot, slot-or-int) in source order.  When every
+    subscript is an int, the chain's ``ticks`` are charged as one batch
+    with the ``limit + 1`` renormalisation; otherwise
+    ``_charge_subscripts`` charges them the walker's way.
+    """
+
+    def fetch(frame, st, limit):
+        values = [frame[v] if is_slot else v for is_slot, v in subs]
+        for value in values:
+            if value.__class__ is not int:
+                return _charge_subscripts(st, limit, values)
+        st[0] = n = st[0] + ticks
+        if n > limit:
+            st[0] = limit + 1
+            raise StepLimitExceeded(limit)
+        return values
+
+    return fetch
 
 
 def _static_flatten(init: ast.InitList) -> list[ast.Expr]:
@@ -1408,14 +1465,19 @@ class _Lowerer:
     def _lower_assignment(self, expr: ast.Assignment):
         target = expr.target
         value_m = self.lower_expr(expr.value)
+        if isinstance(target, ast.Index):
+            fused = self._fused_chain(target)
+            if fused is not None:
+                binop = None if expr.op == "=" else expr.op[:-1]
+                return self._lower_fused_assign(*fused, binop, value_m)
+            if expr.op == "=" and not isinstance(target.base, ast.Index):
+                return self._lower_index_assign(target, value_m)
         if expr.op == "=":
             if isinstance(target, ast.Identifier):
                 binding = self.resolve(target.name)
                 if binding is not None:
                     return self._lower_slot_assign(binding, target, value_m)
                 return self._lower_global_assign(target.name, value_m)
-            if isinstance(target, ast.Index) and not isinstance(target.base, ast.Index):
-                return self._lower_index_assign(target, value_m)
             lvalue_m = self.lower_lvalue(target)
 
             def make(rt):
@@ -1581,53 +1643,87 @@ class _Lowerer:
 
         return make
 
+    def _lower_fused_assign(self, base_slot: int, subs, binop, value_m):
+        """Fused ``a[i]...[k] = v`` / ``a[i]...[k] op= v`` (see
+        ``_fused_chain``); ``binop`` is None for plain ``=``.
+
+        The Assignment + subscripts + base ticks are charged like
+        ``_lower_fused_load``'s.  Then, in the walker's order: resolve
+        the destination (bounds checked), evaluate the right-hand side,
+        load and combine the old value for a compound op, coerce and
+        store.
+        """
+        rank = len(subs)
+        fetch = _fused_fetch(subs, rank + 2)
+        fast_arith = binop in ("+", "-", "*")
+        # ranks 1 and 2 read their subscripts inline (padded for rank 1);
+        # deeper chains go through ``fetch``
+        (i_slot, i_val), (j_slot, j_val) = (list(subs) + [(False, 0)])[:2]
+
+        def make(rt):
+            st, limit = rt.steps, rt.limit
+            value_c = value_m(rt)
+
+            def run(frame):
+                if rank == 1:
+                    i = frame[i_val] if i_slot else i_val
+                    if i.__class__ is int:
+                        st[0] = n = st[0] + 3
+                        if n > limit:
+                            st[0] = limit + 1
+                            raise StepLimitExceeded(limit)
+                    else:
+                        (i,) = _charge_subscripts(st, limit, (i,))
+                    block, offset, elem_size, elem_type = _store_target(frame[base_slot], i)
+                elif rank == 2:
+                    i = frame[i_val] if i_slot else i_val
+                    j = frame[j_val] if j_slot else j_val
+                    if i.__class__ is int and j.__class__ is int:
+                        st[0] = n = st[0] + 4
+                        if n > limit:
+                            st[0] = limit + 1
+                            raise StepLimitExceeded(limit)
+                    else:
+                        i, j = _charge_subscripts(st, limit, (i, j))
+                    block, offset, elem_size, elem_type = _chain_target2(
+                        frame[base_slot], i, j
+                    )
+                else:
+                    block, offset, elem_size, elem_type = _chain_target(
+                        frame[base_slot], fetch(frame, st, limit)
+                    )
+                value = value_c(frame)
+                if binop is None:
+                    _store_value(block, offset, elem_size, elem_type, value)
+                    return value
+                old = _load_cell(block, offset, elem_size)
+                if old is UNINIT:
+                    old = 0
+                oc = old.__class__
+                vc = value.__class__
+                if fast_arith and (oc is int or oc is float) and (vc is int or vc is float):
+                    if binop == "+":
+                        combined = old + value
+                    elif binop == "-":
+                        combined = old - value
+                    else:
+                        combined = old * value
+                else:
+                    combined = combine_compound(binop, old, value)
+                _store_value(block, offset, elem_size, elem_type, combined)
+                return combined
+
+            return run
+
+        return make
+
     def _lower_index_assign(self, target: ast.Index, value_m):
-        """``base[i] = value`` with a single subscript — the hot store.
+        """``base[i] = value`` with a single, non-fused subscript.
 
         Mirrors the walker's order: resolve the destination (index and
         base first, bounds checked), THEN evaluate the right-hand side,
         then coerce-and-store.
         """
-        base_plan = (
-            self._simple_operand(target.base)
-            if isinstance(target.base, ast.Identifier)
-            else None
-        )
-        index_plan = self._simple_operand(target.index)
-        if base_plan is not None and base_plan[0] == "slot" and index_plan is not None:
-            base_slot = base_plan[1]
-            index_kind, index_val = index_plan
-            const_i = int(index_val) if index_kind == "const" else None
-            index_slot = index_val if index_kind == "slot" else None
-
-            def make(rt):
-                st, limit = rt.steps, rt.limit
-                value_c = value_m(rt)
-
-                def run(frame):
-                    # Assignment + index + base = 3 pure ticks, batched
-                    st[0] = n = st[0] + 3
-                    if n > limit:
-                        st[0] = limit + 1
-                        raise StepLimitExceeded(limit)
-                    if const_i is not None:
-                        i = const_i
-                    else:
-                        i = frame[index_slot]
-                        if i.__class__ is not int:
-                            if i is UNINIT:
-                                raise segv_fault("array subscript is uninitialized")
-                            i = int(i)
-                    block, offset, elem_size, elem_type = _store_target(
-                        frame[base_slot], i
-                    )
-                    value = value_c(frame)
-                    _store_value(block, offset, elem_size, elem_type, value)
-                    return value
-
-                return run
-
-            return make
         index_m = self.lower_expr(target.index)
         base_m = self.lower_expr(target.base)
 
@@ -1678,55 +1774,107 @@ class _Lowerer:
             return ("const", ord(expr.value[0]) if expr.value else 0)
         return None
 
-    def _lower_index_load(self, expr: ast.Index):
-        if not isinstance(expr.base, ast.Index):
-            base_plan = (
-                self._simple_operand(expr.base)
-                if isinstance(expr.base, ast.Identifier)
-                else None
-            )
-            index_plan = self._simple_operand(expr.index)
-            if base_plan is not None and base_plan[0] == "slot" and index_plan is not None:
-                # fused superinstruction: Index + index + base = 3 ticks,
-                # all pure, batched up front
-                base_slot = base_plan[1]
-                index_kind, index_val = index_plan
-                if index_kind == "const":
-                    const_i = int(index_val)
+    def _fused_chain(self, expr: ast.Index):
+        """``(base_slot, subs)`` when ``expr`` is a subscript chain on a
+        frame-slot base whose subscripts are all slots or numeric
+        constants, else None.  ``subs`` holds (is_slot, slot-or-int) per
+        subscript, in source order.
 
-                    def make(rt):
-                        st, limit = rt.steps, rt.limit
+        Such chains lower to fused superinstructions: the Index (or
+        Assignment) node, every subscript and the base are pure ticks,
+        so they can be charged up front.
+        """
+        subs = []
+        node: ast.Expr = expr
+        while isinstance(node, ast.Index):
+            plan = self._simple_operand(node.index)
+            if plan is None:
+                return None
+            kind, value = plan
+            if kind == "slot":
+                subs.append((True, value))
+            elif value.__class__ is str:
+                return None  # the walker's int() of a string is a run-time error
+            else:
+                subs.append((False, int(value)))
+            node = node.base
+        if not isinstance(node, ast.Identifier):
+            return None
+        base_plan = self._simple_operand(node)
+        if base_plan is None:
+            return None
+        subs.reverse()
+        return base_plan[1], subs
 
-                        def run(frame):
-                            st[0] = n = st[0] + 3
-                            if n > limit:
-                                st[0] = limit + 1
-                                raise StepLimitExceeded(limit)
-                            return _load_element(frame[base_slot], const_i)
+    def _lower_fused_load(self, base_slot: int, subs):
+        """Fused ``a[i]...[k]`` load (see ``_fused_chain``).
 
-                        return run
+        When every subscript is an int, the Index + subscripts + base
+        ticks are charged as one batch: nothing between them can fault,
+        and the ``limit + 1`` renormalisation makes an overflow inside
+        the batch read like the walker's.  Otherwise
+        ``_charge_subscripts`` charges them the walker's way, so an
+        UNINIT subscript faults at the walker's step count.  Ranks 1 and
+        2 are inlined; deeper chains go through ``_fused_fetch``.
+        """
+        if len(subs) == 1:
+            ((i_slot, i_val),) = subs
 
-                    return make
-                index_slot = index_val
+            def make(rt):
+                st, limit = rt.steps, rt.limit
 
-                def make(rt):
-                    st, limit = rt.steps, rt.limit
-
-                    def run(frame):
+                def run(frame):
+                    i = frame[i_val] if i_slot else i_val
+                    if i.__class__ is int:
                         st[0] = n = st[0] + 3
                         if n > limit:
                             st[0] = limit + 1
                             raise StepLimitExceeded(limit)
-                        i = frame[index_slot]
-                        if i.__class__ is not int:
-                            if i is UNINIT:
-                                raise segv_fault("array subscript is uninitialized")
-                            i = int(i)
-                        return _load_element(frame[base_slot], i)
+                    else:
+                        (i,) = _charge_subscripts(st, limit, (i,))
+                    return _load_element(frame[base_slot], i)
 
-                    return run
+                return run
 
-                return make
+            return make
+        if len(subs) == 2:
+            (i_slot, i_val), (j_slot, j_val) = subs
+
+            def make(rt):
+                st, limit = rt.steps, rt.limit
+
+                def run(frame):
+                    i = frame[i_val] if i_slot else i_val
+                    j = frame[j_val] if j_slot else j_val
+                    if i.__class__ is int and j.__class__ is int:
+                        st[0] = n = st[0] + 4
+                        if n > limit:
+                            st[0] = limit + 1
+                            raise StepLimitExceeded(limit)
+                    else:
+                        i, j = _charge_subscripts(st, limit, (i, j))
+                    return _load_element2(frame[base_slot], i, j)
+
+                return run
+
+            return make
+        fetch = _fused_fetch(subs, len(subs) + 2)
+
+        def make(rt):
+            st, limit = rt.steps, rt.limit
+
+            def run(frame):
+                return _load_chain(frame[base_slot], fetch(frame, st, limit))
+
+            return run
+
+        return make
+
+    def _lower_index_load(self, expr: ast.Index):
+        fused = self._fused_chain(expr)
+        if fused is not None:
+            return self._lower_fused_load(*fused)
+        if not isinstance(expr.base, ast.Index):
             index_m = self.lower_expr(expr.index)
             base_m = self.lower_expr(expr.base)
 
@@ -1749,18 +1897,17 @@ class _Lowerer:
                 return run
 
             return make
-        ref_m = self._lower_index_ref(expr)
+        chain_m = self._lower_chain(expr, _load_chain)
 
         def make(rt):
             st, limit = rt.steps, rt.limit
-            ref_c = ref_m(rt)
+            chain_c = chain_m(rt)
 
             def run(frame):
                 st[0] = n = st[0] + 1
                 if n > limit:
                     raise StepLimitExceeded(limit)
-                value = ref_c(frame).load()
-                return 0 if value is UNINIT else value
+                return chain_c(frame)
 
             return run
 
@@ -1768,6 +1915,12 @@ class _Lowerer:
 
     def _lower_index_ref(self, expr: ast.Index):
         """Generic index chain → ref (mirrors ``_resolve_index``)."""
+        return self._lower_chain(expr, _index_ref)
+
+    def _lower_chain(self, expr: ast.Index, resolve):
+        """Evaluate a generic index chain the walker's way — subscripts
+        innermost first, each checked for UNINIT, then the base — and
+        hand ``(base, indices)`` to ``resolve``."""
         index_makers = []
         node: ast.Expr = expr
         while isinstance(node, ast.Index):
@@ -1776,7 +1929,6 @@ class _Lowerer:
         base_m = self.lower_expr(node)
 
         def make(rt):
-            st, limit = rt.steps, rt.limit
             index_cs = tuple(m(rt) for m in index_makers)
             base_c = base_m(rt)
 
@@ -1788,20 +1940,7 @@ class _Lowerer:
                         raise segv_fault("array subscript is uninitialized")
                     indices.append(int(value))
                 indices.reverse()
-                base = base_c(frame)
-                if base is UNINIT or base is None or base == 0:
-                    raise segv_fault("subscript of NULL or uninitialized pointer")
-                try:
-                    if isinstance(base, CArray):
-                        return _PtrRef(base.subarray_pointer(indices))
-                    if isinstance(base, Pointer):
-                        ptr = base
-                        for i in indices:
-                            ptr = ptr.index(i)
-                        return _PtrRef(ptr)
-                except MemoryFault as exc:
-                    raise segv_fault(str(exc)) from exc
-                raise segv_fault("subscript applied to a non-array value")
+                return resolve(base_c(frame), indices)
 
             return run
 

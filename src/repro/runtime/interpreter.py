@@ -1128,21 +1128,7 @@ class Interpreter:
             indices.append(int(idx_val))
             node = node.base
         indices.reverse()
-        base = self._eval(node, env)
-        if base is UNINIT or base is None or base == 0:
-            raise self._segv("subscript of NULL or uninitialized pointer")
-        try:
-            if isinstance(base, CArray):
-                ptr = base.subarray_pointer(indices)
-                return _PtrRef(ptr)
-            if isinstance(base, Pointer):
-                ptr = base
-                for idx in indices:
-                    ptr = ptr.index(idx)
-                return _PtrRef(ptr)
-        except MemoryFault as exc:
-            raise self._segv(str(exc)) from exc
-        raise self._segv("subscript applied to a non-array value")
+        return _index_ref(self._eval(node, env), indices)
 
 
 def math_fmod(a: int, b: int) -> int:
@@ -1203,3 +1189,74 @@ class _PtrRef(_Ref):
 
     def address(self):
         return self.ptr
+
+
+class _CellRef(_Ref):
+    """One element of a full-rank ``CArray`` subscript: the block and
+    byte offset, with no intermediate ``Pointer``."""
+
+    __slots__ = ("block", "offset", "elem_size", "elem_type")
+
+    def __init__(self, block: HeapBlock, offset: int, elem_size: int, elem_type: ast.CType):
+        self.block = block
+        self.offset = offset
+        self.elem_size = elem_size
+        self.elem_type = elem_type
+
+    def load(self):
+        try:
+            return self.block.load(self.offset, self.elem_size)
+        except MemoryFault as exc:
+            raise RuntimeFault(str(exc), 139, "Segmentation fault (core dumped)\n") from exc
+
+    def store(self, value) -> None:
+        try:
+            self.block.store(self.offset, self.elem_size, coerce_to_type(value, self.elem_type))
+        except MemoryFault as exc:
+            raise RuntimeFault(str(exc), 139, "Segmentation fault (core dumped)\n") from exc
+
+    def address(self):
+        return Pointer(self.block, self.offset, self.elem_type)
+
+
+def _element_offset(arr: CArray, indices) -> int:
+    """Byte offset of the full-rank element ``arr[i0]...[iN]``.
+
+    Each subscript is checked against its own dimension, outermost
+    first, with ``subarray_pointer``'s message — which is what makes
+    ``a[0][3]`` on ``int a[2][3]`` fault although its flat offset lies
+    inside the block.
+    """
+    offset = 0
+    for i, dim, stride in zip(indices, arr.dims, arr.strides):
+        if i < 0 or i >= dim:
+            raise segv_fault(f"array index {i} out of bounds for dimension of size {dim}")
+        offset += i * stride
+    return offset * arr.elem_size
+
+
+def _index_ref(base, indices: list[int]) -> _Ref:
+    """Resolve an evaluated subscript chain ``base[i0]...[iN]`` (int
+    subscripts in source order) to a ref.
+
+    Every backend resolves its chains here: a full-rank ``CArray``
+    subscript becomes one flat offset (:class:`_CellRef`); partial-rank
+    and ``Pointer`` bases go through ``Pointer`` arithmetic.
+    """
+    if base is UNINIT or base is None or base == 0:
+        raise segv_fault("subscript of NULL or uninitialized pointer")
+    if base.__class__ is CArray and len(indices) == len(base.dims):
+        return _CellRef(
+            base.block, _element_offset(base, indices), base.elem_size, base.elem_type
+        )
+    try:
+        if isinstance(base, CArray):
+            return _PtrRef(base.subarray_pointer(indices))
+        if isinstance(base, Pointer):
+            ptr = base
+            for idx in indices:
+                ptr = ptr.index(idx)
+            return _PtrRef(ptr)
+    except MemoryFault as exc:
+        raise segv_fault(str(exc)) from exc
+    raise segv_fault("subscript applied to a non-array value")

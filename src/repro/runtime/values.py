@@ -115,21 +115,15 @@ class Pointer:
     block: HeapBlock
     byte_offset: int
     pointee: CType
-    #: element size — every load/store needs it.  Computed from
-    #: ``pointee`` when not given; pointers derived from one with the
-    #: same pointee pass it along instead.
-    elem_size: int = field(compare=False, repr=False, default=0)
+    #: element size, cached at construction — every load/store needs it
+    elem_size: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        if not self.elem_size:
-            self.elem_size = sizeof_type(self.pointee)
+        self.elem_size = sizeof_type(self.pointee)
 
     def add(self, elements: int) -> "Pointer":
-        return Pointer(
-            self.block,
-            self.byte_offset + elements * self.elem_size,
-            self.pointee,
-            self.elem_size,
+        return _pointer_at(
+            self.block, self.byte_offset + elements * self.elem_size, self.pointee, self.elem_size
         )
 
     def load(self):
@@ -182,7 +176,7 @@ class CArray:
         return total
 
     def pointer(self) -> Pointer:
-        return Pointer(self.block, 0, self.elem_type)
+        return _pointer_at(self.block, 0, self.elem_type, self.elem_size)
 
     def subarray_pointer(self, indices: list[int]) -> Pointer:
         """Pointer to the element/subarray at the given leading indices."""
@@ -195,7 +189,19 @@ class CArray:
                     f"array index {idx} out of bounds for dimension of size {dim}"
                 )
             offset += idx * stride
-        return Pointer(self.block, offset * self.elem_size, self.elem_type, self.elem_size)
+        return _pointer_at(self.block, offset * self.elem_size, self.elem_type, self.elem_size)
+
+
+def _pointer_at(block: HeapBlock, byte_offset: int, pointee: CType, elem_size: int) -> Pointer:
+    """A ``Pointer`` whose ``elem_size`` the caller holds already (a
+    pointer or array with the same pointee), so it is copied rather than
+    recomputed.  Callers must pass ``sizeof_type(pointee)``."""
+    ptr = object.__new__(Pointer)
+    ptr.block = block
+    ptr.byte_offset = byte_offset
+    ptr.pointee = pointee
+    ptr.elem_size = elem_size
+    return ptr
 
 
 RuntimeValue = Union[int, float, str, Pointer, CArray, _Uninitialized, None]

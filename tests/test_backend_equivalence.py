@@ -396,3 +396,204 @@ class TestFaultEquivalence:
         """)
         assert result.returncode == 139
         assert result.stdout == "before\n"
+
+
+# ----------------------------------------------------------------------
+# full-rank array addressing (fused and generic subscript chains)
+# ----------------------------------------------------------------------
+
+
+def run_backend(source: str, backend: str, step_limit: int = 2_000_000) -> ExecutionResult:
+    compiled = Compiler(model="acc").compile(source, "t.c")
+    assert compiled.ok, compiled.stderr
+    return Executor(step_limit=step_limit, backend=backend).run(compiled)
+
+
+def assert_matches_walk(source: str, backend: str, step_limit: int = 2_000_000) -> ExecutionResult:
+    walk = run_backend(source, "walk", step_limit)
+    result = run_backend(source, backend, step_limit)
+    assert result == walk, f"backend drift:\n  walk:    {walk}\n  {backend}: {result}"
+    return walk
+
+
+ARRAY_3D = r"""
+    #include <stdio.h>
+    int main() {
+        int a[2][3][4];
+        int s = 0;
+        for (int i = 0; i < 2; i++)
+            for (int j = 0; j < 3; j++)
+                for (int k = 0; k < 4; k++)
+                    a[i][j][k] = i * 100 + j * 10 + k;
+        for (int i = 0; i < 2; i++)
+            for (int j = 0; j < 3; j++)
+                for (int k = 0; k < 4; k++) {
+                    s += a[i][j][k];
+                    a[i][j][k] -= 1;
+                }
+        printf("%d %d %d %d\n", s, a[1][2][3], a[0 + 1][1][2], a[1][1 + 1][0]);
+        return 0;
+    }
+"""
+
+WRAP_2D = r"""
+    #include <stdio.h>
+    int main() {
+        char c[2][2];
+        int m[2][3];
+        int i = 1;
+        int j = 1;
+        c[i][j] = 120;
+        c[i][j] += 10;
+        c[0][0] = -128;
+        c[0][0] -= 1;
+        m[i][j] = 2147483647;
+        m[i][j] += 1;
+        m[0][2] = 65536;
+        m[0][2] *= 65536;
+        printf("%d %d %d %d\n", c[i][j], c[0][0], m[i][j], m[0][2]);
+        return 0;
+    }
+"""
+
+ADDRESS_OF_ELEMENT = r"""
+    #include <stdio.h>
+    int main() {
+        int a[3][4];
+        int i = 1;
+        int j = 2;
+        for (int r = 0; r < 3; r++)
+            for (int c = 0; c < 4; c++) a[r][c] = r * 10 + c;
+        int *p = &a[i][j];
+        *p = 99;
+        p[2] = 77;
+        printf("%d %d %d\n", a[1][2], a[2][0], a[i][j]);
+        return 0;
+    }
+"""
+
+#: A partial-rank rvalue ``a[i]`` loads the row's first element (the
+#: walker's value model has no array-to-pointer decay for it), so a
+#: function expecting a row pointer faults on its first subscript.
+PARTIAL_RANK_ARGUMENTS = r"""
+    #include <stdio.h>
+    int first(int v) { return v; }
+    int total(int *row, int n) {
+        int s = 0;
+        for (int k = 0; k < n; k++) s += row[k];
+        return s;
+    }
+    int main() {
+        int a[3][4];
+        int i = 2;
+        for (int r = 0; r < 3; r++)
+            for (int c = 0; c < 4; c++) a[r][c] = r * 10 + c + 1;
+        printf("%d %d\n", first(a[1]), first(a[i]));
+        return total(a[i], 4);
+    }
+"""
+
+
+class TestFullRankAddressing:
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_3d_arrays(self, backend):
+        result = assert_matches_walk(ARRAY_3D, backend)
+        assert result.stdout == "1476 122 111 119\n"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_char_and_int_2d_wrap_under_compound(self, backend):
+        result = assert_matches_walk(WRAP_2D, backend)
+        assert result.stdout == "-126 127 -2147483648 0\n"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_address_of_element(self, backend):
+        result = assert_matches_walk(ADDRESS_OF_ELEMENT, backend)
+        assert result.stdout == "99 77 99\n"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_partial_rank_row_passed_to_function(self, backend):
+        result = assert_matches_walk(PARTIAL_RANK_ARGUMENTS, backend)
+        assert result.stdout == "11 21\n"
+        assert result.fault == "subscript applied to a non-array value"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_float_subscripts_truncate(self, backend):
+        result = assert_matches_walk(r"""
+            #include <stdio.h>
+            int main() {
+                int a[2][3];
+                double x = 1.7;
+                int j = 2;
+                a[x][j] = 5;
+                a[x][j] += 1;
+                printf("%d\n", a[x][j]);
+                return 0;
+            }
+        """, backend)
+        assert result.stdout == "6\n"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("access", [
+        "return a[q][j];", "return a[i][q];",
+        "a[q][j] = 1; return 0;", "a[i][q] = 1; return 0;",
+        "a[q][j] += 1; return 0;", "a[i][q] += 1; return 0;",
+        "return a[q];", "a[q] = 1; return 0;", "a[q] += 1; return 0;",
+    ])
+    def test_uninitialized_subscript(self, backend, access):
+        source = f"int main() {{ int a[2][3]; int i = 1; int j = 2; int *q; {access} }}"
+        if "][" not in access:
+            source = source.replace("int a[2][3]", "int a[4]")
+        result = assert_matches_walk(source, backend)
+        assert result.returncode == 139
+        assert result.fault == "array subscript is uninitialized"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("subscript,size", [
+        ("[2][0]", 2), ("[-1][0]", 2), ("[0][3]", 3), ("[1][-1]", 3),
+        ("[i][j]", 3),
+    ])
+    @pytest.mark.parametrize("form", ["return a{s};", "a{s} = 1; return 0;", "a{s} *= 2; return 0;"])
+    def test_out_of_bounds_in_each_dimension(self, backend, subscript, size, form):
+        source = (
+            "int main() { int a[2][3]; int i = 0; int j = 3; "
+            + form.format(s=subscript) + " }"
+        )
+        result = assert_matches_walk(source, backend)
+        assert result.returncode == 139
+        assert result.fault.endswith(f"out of bounds for dimension of size {size}")
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_out_of_bounds_in_third_dimension(self, backend):
+        result = assert_matches_walk(
+            "int main() { int a[2][3][4]; int i = 1; int j = 2; int k = 4; return a[i][j][k]; }",
+            backend,
+        )
+        assert result.fault == "array index 4 out of bounds for dimension of size 4"
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_every_step_limit_across_fused_2d_load_and_compound_store(self, backend):
+        """The fused chains pre-charge their ticks; wherever the limit
+        falls — before, inside or after a batch, on the load, the
+        compound store or an UNINIT fault — the result is the walker's."""
+        source = (
+            "int main() { double a[3][3]; int i = 1; int j = 2; int *q;"
+            " a[i][j] = 1.5; double x = a[i][j]; a[i][j] += x;"
+            " x = a[j][i] + a[i][j]; return a[i][q]; }"
+        )
+        full = run_backend(source, "walk")
+        assert full.fault == "array subscript is uninitialized"
+        for limit in range(1, full.steps + 3):
+            assert_matches_walk(source, backend, step_limit=limit)
+
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_step_limit_around_fused_ops_in_a_loop(self, backend, offset):
+        source = (
+            "int main() { double m[4][4]; double s = 0.0;"
+            " for (int i = 0; i < 4; i++) for (int j = 0; j < 4; j++) {"
+            " m[i][j] = i + j; s += m[i][j]; m[j][i] *= 2.0; }"
+            " return s > 0.0 ? 0 : 1; }"
+        )
+        full = run_backend(source, "walk")
+        for limit in range(full.steps // 3, full.steps // 3 + 40, 5):
+            assert_matches_walk(source, backend, step_limit=limit + offset)

@@ -7,6 +7,8 @@ runners (no HTTP); the HTTP contract is exercised against a real
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
 import signal
@@ -410,6 +412,21 @@ class TestHTTPService:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/v1/validate", {"files": "nope"})
         assert excinfo.value.status == 400
+
+    def test_non_integer_content_length_is_400(self, service_server):
+        host, port = service_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            conn.request(
+                "POST", "/v1/validate", body=b"{}",
+                headers={"Content-Length": "abc", "Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 400
+        assert "Content-Length" in body["error"]
 
     def test_unknown_path_is_404(self, service_server):
         client = client_for(service_server)

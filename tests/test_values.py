@@ -106,6 +106,36 @@ class TestCArray:
         with pytest.raises(MemoryFault):
             arr.subarray_pointer([0, 0, 0])
 
+    @pytest.mark.parametrize("dims,strides", [
+        ([5], (1,)),
+        ([2, 3], (3, 1)),
+        ([2, 3, 4], (12, 4, 1)),
+    ])
+    def test_strides_are_row_major(self, dims, strides):
+        assert CArray(INT, dims).strides == strides
+
+    def test_partial_index_offsets(self):
+        arr = CArray(DOUBLE, [2, 3, 4])
+        assert arr.subarray_pointer([]).byte_offset == 0
+        assert arr.subarray_pointer([1]).byte_offset == 12 * 8
+        assert arr.subarray_pointer([1, 2]).byte_offset == (12 + 2 * 4) * 8
+        assert arr.subarray_pointer([1, 2, 3]).byte_offset == (12 + 8 + 3) * 8
+
+    def test_inner_dimension_out_of_bounds_faults_inside_block(self):
+        # [0][3] flattens to element 3, inside the 6-element block, but
+        # 3 is out of range for the inner dimension
+        arr = CArray(INT, [2, 3])
+        with pytest.raises(MemoryFault, match="index 3 out of bounds for dimension of size 3"):
+            arr.subarray_pointer([0, 3])
+
+    def test_derived_pointers_keep_element_size(self):
+        arr = CArray(CType("char"), [4, 4])
+        row = arr.subarray_pointer([1])
+        assert row.elem_size == 1
+        assert row.add(2).elem_size == 1
+        assert row.add(2) == Pointer(arr.block, 6, CType("char"))
+        assert arr.pointer().index(3).byte_offset == 3
+
 
 class TestCoercion:
     def test_float_to_int_truncates(self):
