@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.cache.store import Codec, ResultCache
 from repro.judge.llmj import JudgeResult
+from repro.obs.metrics import series
 from repro.runtime.executor import ExecutionResult
 
 _EXECUTION_CODEC = Codec(
@@ -82,23 +83,25 @@ class PipelineCache:
     def misses(self) -> int:
         return sum(ns.misses for ns in self.namespaces)
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "namespaces": {ns.name: ns.snapshot() for ns in self.namespaces},
-        }
-
 
 #: Every namespace a :class:`PipelineCache` persists or holds in memory.
 NAMESPACE_NAMES = ("compile", "execute", "judge", "fuzz")
 
 
+def lookup_counts(delta: dict) -> dict[str, dict[str, int]]:
+    """Per-namespace hits and misses in a metrics state or delta, read
+    from ``cache_lookups_total`` (where every lookup is counted once)."""
+    counts = {name: {"hits": 0, "misses": 0} for name in NAMESPACE_NAMES}
+    for labels, value in series(delta, "cache_lookups_total"):
+        ns = counts.setdefault(labels["namespace"], {"hits": 0, "misses": 0})
+        ns["hits" if labels["result"] == "hit" else "misses"] += int(value)
+    return counts
+
+
 def disk_summary(directory: str | Path) -> dict[str, dict[str, object] | None]:
     """Per-namespace on-disk counters for a ``--cache-dir`` directory.
 
-    The operational counterpart of :meth:`PipelineCache.summary`:
-    entries/bytes/corruption per namespace *without* decoding values
+    Entries/bytes/corruption per namespace *without* decoding values
     into memory (``None`` marks a namespace with no persisted file —
     the memory-only compile cache always reads as ``None``).
     """

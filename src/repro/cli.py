@@ -428,7 +428,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _make_cache(args: argparse.Namespace):
-    """Build the PipelineCache an invocation asked for (or None)."""
+    """Build the PipelineCache an invocation asked for (or None); note
+    the registry state on ``args`` for :func:`_finish_cache`."""
+    from repro.obs.metrics import get_metrics
+
+    args.metrics_baseline = get_metrics().export_state()
     if getattr(args, "no_cache", False):
         return None
     from repro.cache.bundle import PipelineCache
@@ -440,20 +444,27 @@ def _make_cache(args: argparse.Namespace):
     return cache
 
 
-def _finish_cache(cache, backend: str | None = None) -> None:
+def _finish_cache(cache, args: argparse.Namespace, backend: str | None = None) -> None:
     """Persist (if configured) and summarise cache effectiveness.
 
+    Hits and misses are the ``cache_lookups_total`` growth since
+    :func:`_make_cache`, so lookups made in experiment shards count.
     ``backend`` names the execution backend the run used; the cache
     itself is backend-agnostic (all backends produce byte-identical
     results), so this is provenance for the operator, not a cache key.
     """
     if cache is None:
         return
+    from repro.cache.bundle import lookup_counts
+    from repro.obs.metrics import get_metrics
+
     cache.save()
+    lookups = lookup_counts(get_metrics().diff(args.metrics_baseline)[0])
+    hits, misses = (sum(n[k] for n in lookups.values()) for k in ("hits", "misses"))
     parts = ", ".join(
-        f"{ns.name} {ns.hits}/{ns.hits + ns.misses}" for ns in cache.namespaces
+        f"{name} {n['hits']}/{n['hits'] + n['misses']}" for name, n in lookups.items()
     )
-    line = f"cache: {cache.hits} hits, {cache.misses} misses ({parts})"
+    line = f"cache: {hits} hits, {misses} misses ({parts})"
     if backend is not None:
         line += f"; backend {backend}"
     print(line)
@@ -494,7 +505,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     finally:
         # also reached on KeyboardInterrupt/SIGTERM: the scheduler has
         # drained by now, so persist whatever work completed
-        _finish_cache(cache, backend=args.backend)
+        _finish_cache(cache, args, backend=args.backend)
         if tracer is not None:
             from repro.obs.export import write_span_log
 
@@ -564,7 +575,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"experiment: {len(names)} artifact(s), backend {args.backend}")
         return 0
     finally:
-        _finish_cache(cache, backend=args.backend)
+        _finish_cache(cache, args, backend=args.backend)
 
 
 def _cmd_experiment_durable(args: argparse.Namespace) -> int:
@@ -625,7 +636,7 @@ def _cmd_experiment_durable(args: argparse.Namespace) -> int:
         )
         raise
     finally:
-        _finish_cache(cache, backend=spec.backend)
+        _finish_cache(cache, args, backend=spec.backend)
 
 
 def _print_shard_summary(exp) -> None:
@@ -638,7 +649,7 @@ def _print_shard_summary(exp) -> None:
     line = f"sharding: {exp.config.jobs} jobs ({cells})"
     if snap["files_total"]:
         busy = sum(stage["busy_seconds"] for stage in snap["stages"].values())
-        line += f"; {snap['files_total']} pipeline files, {busy:.1f}s stage-busy"
+        line += f"; {snap['files_total']} stage items, {busy:.1f}s stage-busy"
     print(line)
 
 
@@ -660,7 +671,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote {path} (backend {args.backend})")
         return 0
     finally:
-        _finish_cache(cache, backend=args.backend)
+        _finish_cache(cache, args, backend=args.backend)
 
 
 def _bind_server(args: argparse.Namespace, cache):
@@ -918,7 +929,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         )
         raise
     finally:
-        _finish_cache(cache)
+        _finish_cache(cache, args)
 
 
 def _fuzz_config(args: argparse.Namespace, languages: tuple, arms: tuple):
@@ -969,7 +980,7 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     finally:
-        _finish_cache(cache)
+        _finish_cache(cache, args)
 
 
 def _cmd_fuzz_minimize(args: argparse.Namespace) -> int:

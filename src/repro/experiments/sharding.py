@@ -33,8 +33,9 @@ Protocol:
    :mod:`repro.cache.store`).
 3. :func:`prefill` installs the returned reports into an
    :class:`~repro.experiments.runner.Experiments` instance, merges the
-   shared cache back into the parent's in-memory bundle, and
-   aggregates per-shard :class:`~repro.pipeline.stats.PipelineStats`.
+   shared cache back into the parent's in-memory bundle, and reads the
+   cells' stage counts as a :class:`~repro.pipeline.stats.PipelineStats`
+   view (a pooled cell's counts arrive as its metrics delta).
 
 Determinism: cells are seeded and self-contained (each worker builds
 its own model/generator from the config seeds), so a sharded run
@@ -56,6 +57,7 @@ from pathlib import Path
 
 from repro.core.atomicio import atomic_write_bytes
 from repro.experiments.config import ExperimentConfig
+from repro.obs.metrics import get_metrics
 from repro.pipeline.stats import PipelineStats
 from repro.testing.faultinject import fault_point
 
@@ -157,15 +159,15 @@ class CellResult:
 
     Everything here crosses a process boundary by pickle; ``run`` is
     the runner's ``_Part2Run`` (reports, population, pipeline result —
-    all plain data; stage stats drop their locks in ``__getstate__``).
+    all plain data).  ``metrics`` is the registry's growth while the
+    cell ran, ready for ``MetricsRegistry.apply``.
     """
 
     cell: Cell
     report: object = None  # MetricsReport (part1 cells)
     run: object = None  # _Part2Run (part2 cells)
-    stats: PipelineStats | None = None
     seconds: float = 0.0
-    cache_summary: dict | None = None
+    metrics: dict | None = None
 
 
 def run_cell(
@@ -187,22 +189,21 @@ def run_cell(
         jobs=1,
         cache_dir=cache_dir if cache_dir is not None else config.cache_dir,
     )
+    baseline = get_metrics().export_state()
     exp = Experiments(worker_config)
     t0 = time.perf_counter()
     if cell.kind == "part1":
         report = exp.part1_report(cell.flavor)
-        run = stats = None
+        run = None
     else:
         run = exp.part2_run(cell.flavor, languages=cell.languages, tag=cell.tag)
         report = None
-        stats = run.pipeline1.stats
     return CellResult(
         cell=cell,
         report=report,
         run=run,
-        stats=stats,
         seconds=time.perf_counter() - t0,
-        cache_summary=exp.cache.summary() if exp.cache is not None else None,
+        metrics=get_metrics().diff(baseline)[0],
     )
 
 
@@ -279,7 +280,8 @@ def run_cells(
     everything runs in-process — no pool, no pickling, identical
     semantics.  ``start_method`` defaults to
     :func:`default_start_method`; results always cross back by pickle,
-    so both start methods exercise the same (de)serialisation path.
+    so both start methods exercise the same (de)serialisation path,
+    and a pooled cell's metrics delta is applied here on arrival.
 
     ``checkpoint_dir`` persists each finished cell immediately (see
     :func:`save_cell_result`), so a killed run resumes without redoing
@@ -321,6 +323,7 @@ def run_cells(
             collected: dict[int, CellResult] = {}
             for i in order:
                 result = pending[i].get()
+                get_metrics().apply(result.metrics)
                 if checkpoint_dir is not None:
                     save_cell_result(checkpoint_dir, result)
                 collected[i] = result
@@ -370,8 +373,9 @@ def prefill(
     temporary directory is provisioned for the duration of the fan-out
     so shards still share results; the parent merges the shared store
     into its in-memory bundle either way, warm-starting any later
-    work.  Returns the aggregated per-shard pipeline stats (also left
-    on ``experiments.shard_stats``), or None if nothing needed to run.
+    work.  Returns the cells' stage counts as a
+    :class:`~repro.pipeline.stats.PipelineStats` view (also left on
+    ``experiments.shard_stats``), or None if nothing needed to run.
     """
     config = experiments.config
     jobs = config.jobs if jobs is None else jobs
@@ -394,16 +398,14 @@ def prefill(
             # warm-start from results this instance already holds
             for namespace in experiments.cache.namespaces:
                 namespace.save_to(cache_dir)
+        baseline = get_metrics().export_state()
         results = run_cells(
             config, cells, jobs=jobs, cache_dir=cache_dir,
             checkpoint_dir=checkpoint_dir, stop=stop,
         )
-        aggregate = PipelineStats()
+        aggregate = PipelineStats(get_metrics().diff(baseline)[0])
         for result in results:
             _install(experiments, result)
-            if result.stats is not None:
-                aggregate.merge(result.stats)
-            _fold_cache_counters(experiments, result)
         if experiments.cache is not None and cache_dir is not None:
             for namespace in experiments.cache.namespaces:
                 namespace.load_from(cache_dir)
@@ -429,15 +431,3 @@ def _install(experiments, result: CellResult) -> None:
         experiments._part1_reports[cell.key] = result.report
     else:
         experiments._part2_runs[cell.key] = result.run
-
-
-def _fold_cache_counters(experiments, result: CellResult) -> None:
-    """Roll a worker's hit/miss counters into the parent bundle, so the
-    CLI's cache summary reflects the whole fleet, not just the parent."""
-    if experiments.cache is None or not result.cache_summary:
-        return
-    for namespace in experiments.cache.namespaces:
-        snapshot = result.cache_summary["namespaces"].get(namespace.name)
-        if snapshot:
-            namespace.hits += snapshot["hits"]
-            namespace.misses += snapshot["misses"]

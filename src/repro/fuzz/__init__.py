@@ -27,7 +27,6 @@ from repro.fuzz.campaign import (
     Campaign,
     CampaignConfig,
     CampaignResult,
-    fuzz_stats_snapshot,
 )
 from repro.fuzz.differential import DifferentialOutcome, DifferentialRunner, Discrepancy
 from repro.fuzz.manifest import CampaignManifest, replay_manifest
@@ -47,7 +46,6 @@ __all__ = [
     "behavior_signature",
     "coverage_keys",
     "default_operators",
-    "fuzz_stats_snapshot",
     "minimize_corpus",
     "replay_manifest",
 ]

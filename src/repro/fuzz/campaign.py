@@ -531,9 +531,14 @@ class Campaign:
             interrupted=interrupted,
         )
         if not interrupted:
-            # partial runs stay out of the process-wide counters: the
-            # resumed continuation will record the completed campaign
-            _REGISTRY.record(result)
+            # partial runs stay out of the campaign totals: the resumed
+            # continuation counts the completed campaign
+            registry = get_metrics()
+            registry.counter("fuzz_campaigns_total").inc()
+            registry.counter("fuzz_executions_total").inc(stats.executions)
+            registry.counter("fuzz_accepted_total").inc(stats.accepted)
+            registry.counter("fuzz_discrepancies_total").inc(len(findings))
+            registry.counter("fuzz_triage_flags_total").inc(len(triage_flags))
         return result
 
     # ------------------------------------------------------------------
@@ -675,69 +680,3 @@ class Campaign:
         if state is not None:
             state.decay_known()
         return None
-
-
-# ---------------------------------------------------------------------------
-# process-wide campaign registry (the service's /v1/fuzz/stats source)
-# ---------------------------------------------------------------------------
-
-
-class _FuzzRegistry:
-    """Lifetime counters over every campaign run in this process."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "_lock", threading.Lock()):
-            self.campaigns = 0
-            self.rounds = 0
-            self.candidates = 0
-            self.executions = 0
-            self.accepted = 0
-            self.discrepancies = 0
-            self.triage_flags = 0
-            self.last_digest: str | None = None
-            self.last_coverage_keys = 0
-
-    def record(self, result: CampaignResult) -> None:
-        with self._lock:
-            self.campaigns += 1
-            self.rounds += result.stats.rounds
-            self.candidates += result.stats.scheduled
-            self.executions += result.stats.executions
-            self.accepted += result.stats.accepted
-            self.discrepancies += len(result.findings)
-            self.triage_flags += len(result.triage_flags)
-            self.last_digest = result.digest()
-            self.last_coverage_keys = (
-                result.stats.coverage_curve[-1] if result.stats.coverage_curve else 0
-            )
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "campaigns": self.campaigns,
-                "rounds": self.rounds,
-                "candidates": self.candidates,
-                "executions": self.executions,
-                "accepted": self.accepted,
-                "discrepancies": self.discrepancies,
-                "triage_flags": self.triage_flags,
-                "last_digest": self.last_digest,
-                "last_coverage_keys": self.last_coverage_keys,
-            }
-
-
-_REGISTRY = _FuzzRegistry()
-
-
-def fuzz_stats_snapshot() -> dict:
-    """Lifetime fuzz counters for this process (``GET /v1/fuzz/stats``)."""
-    return _REGISTRY.snapshot()
-
-
-def reset_fuzz_stats() -> None:
-    """Test hook: zero the process-wide registry."""
-    _REGISTRY.reset()

@@ -9,7 +9,8 @@ the repo holds with tracing on.
   process tracer, picklable :class:`~repro.obs.trace.TraceContext`
   for crossing the worker-pool pipe;
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms in a
-  process registry, mergeable across processes like ``PipelineStats``;
+  process registry: the one store for stage, cache and fuzz counts,
+  merged across processes only as deltas;
 * :mod:`repro.obs.export`  — JSON-lines span logs, Chrome-trace
   (Perfetto) conversion, summaries, and a text Gantt view.
 """

@@ -1,23 +1,25 @@
-"""A process metrics registry: counters, gauges, fixed-bucket histograms.
+"""The process metrics registry: counters, gauges, fixed-bucket histograms.
 
-Modeled on :class:`~repro.pipeline.stats.PipelineStats`' merge
-discipline, but generic: every instrument is identified by a name plus
-a frozen label set, lives in a :class:`MetricsRegistry`, and is
-mergeable across processes.  Worker processes ship growth the same way
-the worker cache ships hit/miss deltas — capture a baseline with
-:meth:`MetricsRegistry.export_state`, report
-:meth:`MetricsRegistry.diff` after each batch, and the parent folds
-the delta in with :meth:`MetricsRegistry.apply`.  Gauges are
-process-local by design (a worker's queue depth means nothing to the
-parent) and stay out of diffs.
+The repo's one counting store: stage outcomes, cache lookups and
+fuzz-campaign totals are counted here only, and JSON views such as
+:class:`~repro.pipeline.stats.PipelineStats` and ``/v1/stats`` read
+registry state.  An instrument is a name plus a frozen label set.
+
+Counts cross a process boundary one way: the sender ships
+:meth:`MetricsRegistry.diff` (growth since an
+:meth:`MetricsRegistry.export_state` baseline) and the receiver folds
+it in with :meth:`MetricsRegistry.apply` — pool workers once per batch,
+experiment shards once per cell.  Gauges are process-local by design
+(a worker's queue depth means nothing to the parent) and stay out of
+diffs.
 
 Exposition is Prometheus text format 0.0.4
 (:meth:`MetricsRegistry.render_prometheus`), served by the daemon's
 ``GET /v1/metrics``.
 
-Metrics are always on — instrument updates are a dict lookup and a
-lock'd add — and strictly inert: nothing here touches digests, cache
-keys, checkpoints, or RNG streams.
+Metrics are always on — instrument updates are a lock'd add — and
+strictly inert: nothing here touches digests, cache keys, checkpoints,
+or RNG streams.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
-
-    def inc(self, by: float = 1.0) -> None:
-        with self._lock:
-            self.value += by
 
     def state(self) -> float:
         with self._lock:
@@ -145,11 +143,14 @@ class MetricsRegistry:
     def _get(self, cls, name: str, labels: dict, **kwargs):
         key = (cls.kind, name, _label_key(labels))
         with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = cls(name, key[2], **kwargs)
-                self._instruments[key] = instrument
-            return instrument
+            return self._get_locked(cls, key, **kwargs)
+
+    def _get_locked(self, cls, key: tuple, **kwargs):
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = cls(key[1], key[2], **kwargs)
+            self._instruments[key] = instrument
+        return instrument
 
     def counter(self, name: str, **labels) -> Counter:
         return self._get(Counter, name, labels)
@@ -162,17 +163,17 @@ class MetricsRegistry:
             return self._get(Histogram, name, labels)
         return self._get(Histogram, name, labels, buckets=buckets)
 
-    # -- cross-process merge (the cache_delta pattern) ------------------
+    # -- cross-process merge --------------------------------------------
 
     def export_state(self) -> dict:
-        """Picklable snapshot of every diffable instrument's state."""
+        """Picklable snapshot of every diffable instrument's state, taken
+        under the lock :meth:`apply` holds (never half of a delta)."""
         with self._lock:
-            instruments = list(self._instruments.items())
-        return {
-            key: instrument.state()
-            for key, instrument in instruments
-            if instrument.kind != "gauge"
-        }
+            return {
+                key: instrument.state()
+                for key, instrument in self._instruments.items()
+                if instrument.kind != "gauge"
+            }
 
     def diff(self, baseline: dict) -> tuple[dict, dict]:
         """Growth since ``baseline`` plus the new baseline to keep.
@@ -208,43 +209,25 @@ class MetricsRegistry:
         return delta, state
 
     def apply(self, delta: dict) -> None:
-        """Fold a :meth:`diff` payload (from another process) in."""
+        """Fold a :meth:`diff` payload in, whole, under the registry lock:
+        the only way counts from another process or run enter."""
         if not delta:
             return
-        for key, state in delta.items():
-            kind, name, label_key = key
-            labels = dict(label_key)
-            if kind == "counter":
-                self.counter(name, **labels).add_state(state)
-            elif kind == "histogram":
-                self.histogram(
-                    name, buckets=state["bounds"], **labels
-                ).add_state(state)
-            # gauges never ship
+        with self._lock:
+            for key, state in delta.items():
+                if key[0] == "counter":
+                    self._get_locked(Counter, key).add_state(state)
+                elif key[0] == "histogram":
+                    self._get_locked(
+                        Histogram, key, buckets=state["bounds"]
+                    ).add_state(state)
+                # gauges never ship
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's full diffable state into this one."""
-        self.apply(other.export_state())
+        """Fold another registry's growth (its moved instruments) in."""
+        self.apply(other.diff({})[0])
 
     # -- exposition -----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-able dump (for tests and ad-hoc inspection)."""
-        with self._lock:
-            instruments = list(self._instruments.values())
-        out: dict[str, dict] = {}
-        for instrument in instruments:
-            series = out.setdefault(
-                instrument.name, {"kind": instrument.kind, "series": []}
-            )
-            entry = {"labels": dict(instrument.labels)}
-            if instrument.kind == "histogram":
-                entry.update(instrument.state())
-                entry["bounds"] = list(entry["bounds"])
-            else:
-                entry["value"] = instrument.state()
-            series["series"].append(entry)
-        return out
 
     def render_prometheus(self) -> str:
         """Text exposition format 0.0.4 (the ``/v1/metrics`` body)."""
@@ -281,6 +264,17 @@ class MetricsRegistry:
                     f"{name}{_labels(labels)} {_fmt(instrument.state())}"
                 )
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def series(state: dict, name: str) -> list[tuple[dict, object]]:
+    """``(labels, state)`` for every instrument called ``name`` in an
+    :meth:`~MetricsRegistry.export_state` or :meth:`~MetricsRegistry.diff`
+    payload (a float for a counter, a dict for a histogram)."""
+    return [
+        (dict(labels), value)
+        for (_, instrument, labels), value in state.items()
+        if instrument == name
+    ]
 
 
 def _sanitize(name: str) -> str:

@@ -31,7 +31,7 @@ from repro.pipeline.stages import (
     Stage,
     StageOutcome,
 )
-from repro.pipeline.stats import PipelineStats, StageStats
+from repro.pipeline.stats import PipelineStats, StageCounts
 
 __all__ = [
     "PipelineConfig",
@@ -39,7 +39,7 @@ __all__ = [
     "PipelineResult",
     "ValidationPipeline",
     "PipelineStats",
-    "StageStats",
+    "StageCounts",
     "Stage",
     "StageOutcome",
     "StageScheduler",

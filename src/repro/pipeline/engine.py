@@ -165,22 +165,14 @@ class ValidationPipeline:
     # ------------------------------------------------------------------
 
     def run(self, files: list[TestFile]) -> PipelineResult:
-        result = PipelineResult()
-        result.stats.files_total = len(files)
-
-        stages = self.stages()
         scheduler = StageScheduler(
-            stages,
-            queue_capacity=self.config.queue_capacity,
-            stats={stage.name: result.stats.for_stage(stage.name) for stage in stages},
+            self.stages(), queue_capacity=self.config.queue_capacity
         )
         run = scheduler.run(files)
         run.raise_first("validation pipeline")
-        result.stats.wall_seconds = run.wall_seconds
 
         # deterministic output order regardless of thread interleaving
         order = {test.name: i for i, test in enumerate(files)}
         records = [item.record for item in run.finished]
         records.sort(key=lambda r: order.get(r.test.name, 1 << 30))
-        result.records = records
-        return result
+        return PipelineResult(records=records, stats=run.stats)

@@ -11,8 +11,9 @@ Responsibilities owned here so stages never re-implement them:
 * one bounded queue per stage (back-pressure between pools);
 * thread spawning with per-worker stage state
   (:meth:`Stage.make_worker_state`) and sentinel shutdown;
-* per-stage statistics (:class:`~repro.pipeline.stats.StageStats`):
-  pass/fail counts, busy and simulated seconds, downstream skips;
+* per-stage statistics (pass/fail/skip counts, busy and simulated
+  seconds, items, errors), counted once into a registry owned by the
+  run and applied to the process registry when the run ends;
 * forward routing — an outcome may jump over stages (record-all mode
   routes failed compiles straight to the judge);
 * error containment — a stage that raises marks the item failed and
@@ -29,12 +30,14 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs import trace
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.pipeline.stages import Stage, StageOutcome
-from repro.pipeline.stats import StageStats
+from repro.pipeline.stats import (
+    FILES, STAGE_OUTCOMES, STAGE_SECONDS, STAGE_SIMULATED, WALL, PipelineStats,
+)
 
 _SENTINEL = object()
 
@@ -60,14 +63,26 @@ class StageError:
     error: Exception
 
 
+class _StageCounters:
+    """One stage's instruments in a run's registry, fetched once per run."""
+
+    def __init__(self, registry: MetricsRegistry, stage: str):
+        self.items = registry.counter("pipeline_stage_items_total", stage=stage)
+        self.errors = registry.counter("pipeline_stage_errors_total", stage=stage)
+        self.seconds = registry.histogram(STAGE_SECONDS, stage=stage)
+        self.passed = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="passed")
+        self.failed = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="failed")
+        self.skipped = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="skipped")
+        self.simulated = registry.counter(STAGE_SIMULATED, stage=stage)
+
+
 @dataclass
 class SchedulerResult:
     """Everything one scheduler run produced."""
 
     finished: list = field(default_factory=list)
-    stats: dict[str, StageStats] = field(default_factory=dict)
+    stats: PipelineStats = field(default_factory=PipelineStats)
     errors: list[StageError] = field(default_factory=list)
-    wall_seconds: float = 0.0
     #: True when :meth:`StageScheduler.abort` cut the run short; the
     #: ``finished`` list then holds only the items that completed.
     aborted: bool = False
@@ -98,18 +113,9 @@ class StageScheduler:
         the drain protocol, so it is rejected).
     queue_capacity:
         Bound of every inter-stage queue — the back-pressure knob.
-    stats:
-        Optional externally-owned ``{stage name: StageStats}`` so a
-        caller (the validation pipeline) can surface scheduler counters
-        through its own stats object.  Missing names get fresh ones.
     """
 
-    def __init__(
-        self,
-        stages: Sequence[Stage],
-        queue_capacity: int = 64,
-        stats: Mapping[str, StageStats] | None = None,
-    ):
+    def __init__(self, stages: Sequence[Stage], queue_capacity: int = 64):
         if not stages:
             raise ValueError("scheduler needs at least one stage")
         names = [stage.name for stage in stages]
@@ -121,10 +127,6 @@ class StageScheduler:
         self.queue_capacity = queue_capacity
         self._index = {name: i for i, name in enumerate(names)}
         self._abort = threading.Event()
-        provided = dict(stats or {})
-        self.stats = {
-            name: provided.get(name) or StageStats(name) for name in names
-        }
 
     # ------------------------------------------------------------------
 
@@ -155,7 +157,7 @@ class StageScheduler:
         item — and a caller's ``finally`` can flush caches safely.
         """
         self._abort.clear()
-        result = SchedulerResult(stats=self.stats)
+        result = SchedulerResult()
         finished_lock = threading.Lock()
 
         # Tracing: contextvars do not cross threads, so capture the
@@ -172,7 +174,12 @@ class StageScheduler:
                 items=len(items),
             )
             run_ctx = run_span.context
-        metrics = get_metrics()
+        registry = MetricsRegistry()
+        registry.counter(FILES).inc(len(items))
+        counters = {
+            stage.name: _StageCounters(registry, stage.name)
+            for stage in self.stages
+        }
 
         queues = [
             queue.Queue(maxsize=self.queue_capacity) for _ in self.stages
@@ -208,7 +215,7 @@ class StageScheduler:
 
         def worker(stage_index: int) -> None:
             stage = self.stages[stage_index]
-            stats = self.stats[stage.name]
+            counts = counters[stage.name]
             state = stage.make_worker_state()
             q = queues[stage_index]
             while True:
@@ -229,32 +236,26 @@ class StageScheduler:
                     ):
                         outcome = stage.process(item, state)
                 except Exception as exc:  # noqa: BLE001 - contained by design
-                    busy = time.perf_counter() - t0
-                    stats.record(False, busy, 0.0)
-                    metrics.counter(
-                        "pipeline_stage_errors_total", stage=stage.name
-                    ).inc()
+                    counts.seconds.observe(time.perf_counter() - t0)
+                    counts.failed.inc()
+                    counts.errors.inc()
                     with finished_lock:
                         result.errors.append(StageError(stage.name, item, exc))
                     finish(item)
                 else:
                     busy = time.perf_counter() - t0
-                    metrics.histogram(
-                        "pipeline_stage_seconds", stage=stage.name
-                    ).observe(busy)
-                    metrics.counter(
-                        "pipeline_stage_items_total", stage=stage.name
-                    ).inc()
+                    counts.seconds.observe(busy)
+                    counts.items.inc()
                     if outcome.ok is not None:
-                        simulated = (
+                        (counts.passed if outcome.ok else counts.failed).inc()
+                        counts.simulated.inc(
                             busy
                             if outcome.simulated_seconds is None
                             else outcome.simulated_seconds
                         )
-                        stats.record(outcome.ok, busy, simulated)
                     try:
                         for name in outcome.skip_stats:
-                            self.stats[name].record_skip()
+                            counters[name].skipped.inc()
                         route(outcome, stage_index)
                     except Exception as exc:  # bad routing must not deadlock
                         with finished_lock:
@@ -302,28 +303,25 @@ class StageScheduler:
                         with contextlib.suppress(queue.Full):
                             q.put_nowait(_SENTINEL)
                         thread.join(timeout=0.05)
-            result.aborted = True
-            result.wall_seconds = time.perf_counter() - started
             if run_span is not None:
                 run_span.attrs["aborted"] = True
-                tracer.finish(run_span)
             raise
-
-        result.aborted = self._abort.is_set()
-        result.wall_seconds = time.perf_counter() - started
-        if run_span is not None:
-            tracer.finish(run_span)
+        finally:
+            result.aborted = self._abort.is_set()
+            registry.counter(WALL).inc(time.perf_counter() - started)
+            result.stats = PipelineStats(registry.export_state(), self._index)
+            # the run's counts reach the process registry once, whole
+            get_metrics().merge(registry)
+            if run_span is not None:
+                tracer.finish(run_span)
         return result
 
 
 def run_stage(
-    stage: Stage,
-    items: Sequence[Any],
-    queue_capacity: int = 64,
-    stats: Mapping[str, StageStats] | None = None,
+    stage: Stage, items: Sequence[Any], queue_capacity: int = 64
 ) -> SchedulerResult:
     """Convenience: run one stage's worker pool over ``items``."""
-    return StageScheduler([stage], queue_capacity=queue_capacity, stats=stats).run(items)
+    return StageScheduler([stage], queue_capacity=queue_capacity).run(items)
 
 
 def _spawn(target: Callable[[], None], count: int) -> list[threading.Thread]:

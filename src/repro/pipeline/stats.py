@@ -1,4 +1,4 @@
-"""Pipeline instrumentation: per-stage counters and timing.
+"""Pipeline statistics: a read-only view over the scheduler's counters.
 
 Wall-clock timings measure the Python substrate; *simulated* time
 additionally charges the LLM stage with the 33B service-rate cost model
@@ -8,136 +8,66 @@ so the early-exit ablation shows the effect the paper argues for
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
+
+from repro.obs.metrics import series
+
+# the series the scheduler records, all labelled ``stage`` except the
+# run-level files and wall; outcomes also carry ``outcome`` (passed /
+# failed / skipped), and the seconds histogram's sum is busy time
+STAGE_OUTCOMES = "pipeline_stage_outcomes_total"
+STAGE_SECONDS = "pipeline_stage_seconds"
+STAGE_SIMULATED = "pipeline_stage_simulated_seconds_total"
+FILES = "pipeline_files_total"
+WALL = "pipeline_wall_seconds_total"
 
 
-@dataclass
-class StageStats:
-    """Counters for one stage, updated by its workers."""
+class StageCounts(NamedTuple):
+    """One stage's counters."""
 
     name: str
-    processed: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
     busy_seconds: float = 0.0
     simulated_seconds: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record(self, passed: bool, busy: float, simulated: float = 0.0) -> None:
-        with self._lock:
-            self.processed += 1
-            if passed:
-                self.passed += 1
-            else:
-                self.failed += 1
-            self.busy_seconds += busy
-            self.simulated_seconds += simulated
-
-    def record_skip(self) -> None:
-        with self._lock:
-            self.skipped += 1
-
-    def merge(self, other: "StageStats") -> None:
-        """Fold another shard's counters into this one (same stage name)."""
-        with self._lock:
-            self.processed += other.processed
-            self.passed += other.passed
-            self.failed += other.failed
-            self.skipped += other.skipped
-            self.busy_seconds += other.busy_seconds
-            self.simulated_seconds += other.simulated_seconds
-
-    # Locks cannot cross process boundaries; shard workers return their
-    # stats by pickle, so drop the lock on the way out and mint a fresh
-    # one on the way in.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "processed": self.processed,
-                "passed": self.passed,
-                "failed": self.failed,
-                "skipped": self.skipped,
-                "busy_seconds": round(self.busy_seconds, 4),
-                "simulated_seconds": round(self.simulated_seconds, 4),
-            }
-
-
-@dataclass
-class PipelineStats:
-    """Whole-run statistics.
-
-    The three canonical stages are first-class attributes; pipelines
-    extended with additional stages (see ``ValidationPipeline.stages``)
-    register their counters in ``extra`` so they surface through
-    :attr:`stages` and :meth:`summary` like the built-ins.
-    """
-
-    compile: StageStats = field(default_factory=lambda: StageStats("compile"))
-    execute: StageStats = field(default_factory=lambda: StageStats("execute"))
-    judge: StageStats = field(default_factory=lambda: StageStats("judge"))
-    extra: dict[str, StageStats] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    files_total: int = 0
-    #: serialises merge() against snapshot() so an aggregate reader (the
-    #: service's /v1/stats) never sees a batch half-folded-in
-    _merge_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
-    def stages(self) -> list[StageStats]:
-        return [self.compile, self.execute, self.judge, *self.extra.values()]
+    def processed(self) -> int:
+        return self.passed + self.failed
 
-    def merge(self, other: "PipelineStats", concurrent: bool = True) -> None:
-        """Aggregate another run's (or shard's) stats into this one.
 
-        With ``concurrent=True`` (shards racing each other) wall-clock
-        seconds take the max — the fleet's wall time is the slowest
-        shard's.  With ``concurrent=False`` (the service folding in
-        one batch after another) walls sum, so derived throughput
-        reflects the whole serving period, not the slowest batch.
-        Busy/simulated seconds always sum (they measure work done).
-        """
-        with self._merge_lock:
-            for stage in other.stages:
-                self.for_stage(stage.name).merge(stage)
-            if concurrent:
-                self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-            else:
-                self.wall_seconds += other.wall_seconds
-            self.files_total += other.files_total
+class PipelineStats:
+    """Whole-run statistics read from a metrics state or delta.
 
-    # Like StageStats, the lock cannot cross process boundaries (shard
-    # workers return PipelineStats by pickle): drop it on the way out,
-    # mint a fresh one on the way in.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_merge_lock"]
-        return state
+    ``stages`` are reported even when they counted nothing; other
+    stages found in ``state`` follow them.  The view is plain data, so
+    it pickles across process boundaries as is.
+    """
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._merge_lock = threading.Lock()
+    def __init__(
+        self, state: dict | None = None,
+        stages: Iterable[str] = ("compile", "execute", "judge"),
+    ):
+        state = state or {}
+        fields: dict[str, dict] = {name: {} for name in stages}
+        for labels, value in series(state, STAGE_OUTCOMES):
+            fields.setdefault(labels["stage"], {})[labels["outcome"]] = int(value)
+        for labels, value in series(state, STAGE_SECONDS):
+            fields.setdefault(labels["stage"], {})["busy_seconds"] = value["sum"]
+        for labels, value in series(state, STAGE_SIMULATED):
+            fields.setdefault(labels["stage"], {})["simulated_seconds"] = value
+        self._stages = {name: StageCounts(name, **f) for name, f in fields.items()}
+        self.files_total = int(sum(value for _, value in series(state, FILES)))
+        self.wall_seconds = sum(value for _, value in series(state, WALL))
 
-    def for_stage(self, name: str) -> StageStats:
-        """The stats slot for ``name``, creating an extra slot if new."""
-        for stage in (self.compile, self.execute, self.judge):
-            if stage.name == name:
-                return stage
-        if name not in self.extra:
-            self.extra[name] = StageStats(name)
-        return self.extra[name]
+    def __getitem__(self, name: str) -> StageCounts:
+        """One stage's counts (all zero for a stage that counted nothing)."""
+        return self._stages.get(name) or StageCounts(name)
+
+    compile = property(lambda self: self["compile"])
+    execute = property(lambda self: self["execute"])
+    judge = property(lambda self: self["judge"])
 
     @property
     def throughput(self) -> float:
@@ -149,7 +79,7 @@ class PipelineStats:
     @property
     def simulated_seconds(self) -> float:
         """Total simulated stage time (the GPU-bound judge dominates)."""
-        return sum(stage.simulated_seconds for stage in self.stages)
+        return sum(stage.simulated_seconds for stage in self._stages.values())
 
     @property
     def judge_invocations_saved(self) -> int:
@@ -157,31 +87,26 @@ class PipelineStats:
         return self.judge.skipped
 
     def snapshot(self) -> dict[str, object]:
-        """One consistent copy of every counter.
-
-        Each stage's counters are copied under that stage's lock, the
-        whole copy is serialised against :meth:`merge` (so an aggregate
-        reader like the service's ``/v1/stats`` never sees a batch
-        half-folded-in), and every derived figure (throughput,
-        simulated totals, judge savings) is computed from the copies —
-        never from counters read at two different instants.
-        """
-        with self._merge_lock:
-            stages = {stage.name: stage.snapshot() for stage in self.stages}
-            wall = self.wall_seconds
-            files = self.files_total
+        """Every counter plus the derived figures, as JSON-able data."""
+        stages = {
+            stage.name: {
+                "processed": stage.processed,
+                "passed": stage.passed,
+                "failed": stage.failed,
+                "skipped": stage.skipped,
+                "busy_seconds": round(stage.busy_seconds, 4),
+                "simulated_seconds": round(stage.simulated_seconds, 4),
+            }
+            for stage in self._stages.values()
+        }
         simulated = sum(snap["simulated_seconds"] for snap in stages.values())
-        judge = stages.get("judge", {})
         return {
-            "files_total": files,
-            "wall_seconds": round(wall, 4),
-            "throughput_files_per_second": (
-                round(files / wall, 3) if wall > 0 else 0.0
-            ),
+            "files_total": self.files_total,
+            "wall_seconds": round(self.wall_seconds, 4),
+            "throughput_files_per_second": round(self.throughput, 3),
             "simulated_seconds": round(simulated, 2),
-            "judge_invocations_saved": judge.get("skipped", 0),
+            "judge_invocations_saved": self.judge_invocations_saved,
             "stages": stages,
         }
 
-    def summary(self) -> dict[str, object]:
-        return self.snapshot()
+    summary = snapshot

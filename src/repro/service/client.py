@@ -79,9 +79,6 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._request("GET", "/v1/stats")
 
-    def fuzz_stats(self) -> dict:
-        return self._request("GET", "/v1/fuzz/stats")
-
     def validate(
         self,
         sources: dict[str, str],

@@ -30,7 +30,9 @@ MAX_FILES_PER_REQUEST = 16
 
 
 class ProtocolError(ValueError):
-    """Client-side contract violation (server answers HTTP 400)."""
+    """Client-side contract violation (server answers HTTP ``status``)."""
+
+    status = 400
 
 
 def _require(condition: bool, message: str) -> None:

@@ -5,8 +5,9 @@
 simulated model and one :class:`PipelineCache`), the micro-batcher
 that admission-controls ``/v1/validate``, optionally a pre-forked
 :class:`~repro.service.workers.WorkerPool` that batches fan out to
-(``workers=N``; ``workers=0`` validates in-process), and the lifetime
-aggregates ``/v1/stats`` exposes.  :class:`ValidationServer` is a thin
+(``workers=N``; ``workers=0`` validates in-process), and the
+``/v1/stats`` view, computed from the metrics registry's growth since
+the service started.  :class:`ValidationServer` is a thin
 ``ThreadingHTTPServer``: each connection gets a handler thread that
 parses JSON, submits to the service and blocks on its future, so
 concurrency is bounded by the admission queue, not by socket count.
@@ -24,9 +25,7 @@ Endpoints
 * ``GET  /v1/stats``     — live batching/pipeline/cache counters;
 * ``GET  /v1/metrics``   — the metrics registry in Prometheus text
   format (counters/gauges/histograms from every layer, including
-  deltas shipped home by pool workers);
-* ``GET  /v1/fuzz/stats`` — lifetime fuzzing-campaign counters for this
-  process (campaigns, executions, discrepancies, acceptance).
+  deltas shipped home by pool workers and fuzz-campaign totals).
 
 Load shedding is explicit: a full admission queue answers HTTP 429
 with a ``Retry-After`` header; a draining daemon answers 503.  SIGTERM
@@ -46,6 +45,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.cache.bundle import lookup_counts
 from repro.compiler.driver import testfile_language
 from repro.core.validator import TestsuiteValidator
 from repro.corpus.generator import TestFile
@@ -53,7 +53,7 @@ from repro.judge.agent import ToolReport
 from repro.judge.llmj import AgentLLMJ
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import get_metrics, series
 from repro.pipeline.stats import PipelineStats
 from repro.service.batching import BatcherClosed, BatchQueueFull, MicroBatcher
 from repro.service.protocol import (
@@ -64,6 +64,15 @@ from repro.service.protocol import (
     error_body,
 )
 from repro.testing.faultinject import fault_point
+
+#: the largest request body read (the client sends at most 16 files)
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class BodyTooLarge(ProtocolError):
+    """``Content-Length`` above :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+    status = 413
 
 
 @dataclass
@@ -99,6 +108,8 @@ class ValidationService:
         worker_start_method: str | None = None,
         trace_log: str | None = None,
     ):
+        # /v1/stats reports the registry's growth since this point
+        self._metrics_baseline = get_metrics().export_state()
         self.cache = cache
         # --trace-log: install a process-ambient tracer; every request,
         # batch, stage, and worker span lands in it, and drain() writes
@@ -121,13 +132,8 @@ class ValidationService:
         self.threads = threads
         self.judge_workers = judge_workers
         self.started_at = time.monotonic()
-        #: lifetime aggregate over every batch's pipeline run
-        self.pipeline_stats = PipelineStats()
-        self._stats_lock = threading.Lock()
         self._validators: dict[object, TestsuiteValidator] = {}
         self._validators_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._counters = {"validate_requests": 0, "judge_requests": 0}
         # workers >= 1: pre-fork a process pool and size the batcher's
         # dispatcher threads to it, so up to ``workers`` micro-batches
         # validate in parallel across cores.  workers == 0 keeps the
@@ -170,9 +176,7 @@ class ValidationService:
         admitted = _Admitted(
             request, request_id=request_id, trace_ctx=trace.current()
         )
-        future = self.batcher.submit(request.options, admitted)
-        self._bump("validate_requests")
-        return future
+        return self.batcher.submit(request.options, admitted)
 
     def judge(self, request: JudgeRequest) -> dict:
         """One synchronous judge-only call (not batched: no pipeline)."""
@@ -206,7 +210,9 @@ class ValidationService:
             )
         t0 = time.perf_counter()
         result = judge.judge(test, report)
-        self._bump("judge_requests")
+        get_metrics().counter(
+            "service_requests_total", endpoint="judge", status="200"
+        ).inc()
         return {
             "result": result.to_json(),
             "says_valid": result.says_valid,
@@ -229,17 +235,6 @@ class ValidationService:
         if self.jobs is not None:
             body["jobs"] = self.jobs.snapshot()
         return body
-
-    def fuzz_stats(self) -> dict:
-        """Lifetime fuzz-campaign counters (``GET /v1/fuzz/stats``).
-
-        Campaigns register with a process-wide registry when they
-        finish, so a daemon co-hosting campaign runs (or a test driving
-        both in one process) surfaces discovery progress over HTTP.
-        """
-        from repro.fuzz.campaign import fuzz_stats_snapshot
-
-        return fuzz_stats_snapshot()
 
     def metrics_text(self) -> str:
         """The ``GET /v1/metrics`` body (Prometheus text format).
@@ -264,27 +259,51 @@ class ValidationService:
             for state, count in self.jobs.snapshot()["by_state"].items():
                 registry.gauge("service_jobs", state=state).set(count)
         if self.cache is not None:
+            lookups = lookup_counts(registry.diff(self._metrics_baseline)[0])
             for namespace in self.cache.namespaces:
-                total = namespace.hits + namespace.misses
+                n = lookups[namespace.name]
                 registry.gauge(
                     "service_cache_hit_ratio", namespace=namespace.name
-                ).set(namespace.hits / total if total else 0.0)
+                ).set(n["hits"] / (n["hits"] + n["misses"]) if n["hits"] else 0.0)
         return registry.render_prometheus()
 
+    def _cache_section(self, delta: dict) -> dict | None:
+        """Each namespace's entries, with its hits and misses read from
+        ``delta`` (pool workers' lookups arrive there too)."""
+        if self.cache is None:
+            return None
+        lookups = lookup_counts(delta)
+        namespaces = {
+            ns.name: {**ns.snapshot(), **lookups[ns.name]}
+            for ns in self.cache.namespaces
+        }
+        return {
+            "hits": sum(ns["hits"] for ns in namespaces.values()),
+            "misses": sum(ns["misses"] for ns in namespaces.values()),
+            "namespaces": namespaces,
+        }
+
     def stats_snapshot(self) -> dict:
-        """Everything ``/v1/stats`` serves, copied under the right locks."""
+        """Everything ``/v1/stats`` serves; its counts come from one
+        registry diff, consistent with each other and ``/v1/metrics``."""
         from repro.runtime.interpreter import DEFAULT_BACKEND, EXECUTION_BACKENDS
 
-        with self._counter_lock:
-            counters = dict(self._counters)
+        delta = get_metrics().diff(self._metrics_baseline)[0]
+        judged = sum(
+            value for labels, value in series(delta, "service_requests_total")
+            if labels["endpoint"] == "judge"
+        )
+        batching = self.batcher.snapshot()
         with self._validators_lock:
             active = sorted({options.backend for options in self._validators})
         return {
             "service": {
                 "uptime_seconds": round(time.monotonic() - self.started_at, 3),
                 "model_seed": self.model_seed,
-                **counters,
-                "batching": self.batcher.snapshot(),
+                # an admitted validate request is a batcher submission
+                "validate_requests": batching["submitted"],
+                "judge_requests": int(judged),
+                "batching": batching,
                 "workers": (
                     self.pool.snapshot()
                     if self.pool is not None
@@ -304,8 +323,8 @@ class ValidationService:
                     "active": active,
                 },
             },
-            "pipeline": self.pipeline_stats.snapshot(),
-            "cache": self.cache.summary() if self.cache is not None else None,
+            "pipeline": PipelineStats(delta).snapshot(),
+            "cache": self._cache_section(delta),
             "jobs": self.jobs.snapshot() if self.jobs is not None else None,
         }
 
@@ -349,10 +368,6 @@ class ValidationService:
     # batch execution (collector / dispatcher threads)
     # ------------------------------------------------------------------
 
-    def _bump(self, counter: str) -> None:
-        with self._counter_lock:
-            self._counters[counter] += 1
-
     def _validator_for(self, options) -> TestsuiteValidator:
         with self._validators_lock:
             validator = self._validators.get(options)
@@ -376,10 +391,9 @@ class ValidationService:
         The batch-execution logic itself lives in
         :func:`repro.service.workers.execute_batch` — this method only
         decides *where* it runs (a pool worker process, or in-process
-        when ``workers=0``), then merges the result back: the batch's
-        pipeline stats into the lifetime aggregate, worker cache
-        counters into the parent's summary, and the queue-delay stamp
-        (which only the parent knows) into each response.
+        when ``workers=0``), then folds a pool worker's spans and
+        metrics delta in and stamps each response with its queue delay
+        (which only the parent knows).
         """
         from repro.service.workers import execute_batch
 
@@ -413,19 +427,7 @@ class ValidationService:
         tracer = trace.active()
         if tracer is not None and result.spans:
             tracer.absorb(result.spans)
-        if result.metrics_delta:
-            get_metrics().apply(result.metrics_delta)
-        # several dispatcher threads can land here at once; walls still
-        # sum (concurrent=False) so the aggregate reads as total
-        # validation compute, matching the single-process meaning
-        with self._stats_lock:
-            self.pipeline_stats.merge(result.stats, concurrent=False)
-            if result.cache_delta and self.cache is not None:
-                for namespace in self.cache.namespaces:
-                    delta = result.cache_delta.get(namespace.name)
-                    if delta:
-                        namespace.hits += delta["hits"]
-                        namespace.misses += delta["misses"]
+        get_metrics().apply(result.metrics_delta)
         for payload, response in zip(payloads, result.responses):
             response["timings"]["queued_ms"] = round(
                 (dispatched_at - payload.enqueued_at) * 1000, 3
@@ -515,6 +517,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise ProtocolError(f"Content-Length is not an integer: {header!r}") from None
         if length <= 0:
             raise ProtocolError("request body required")
+        if length > MAX_BODY_BYTES:
+            # answered before reading: the claimed body never buffers
+            raise BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
@@ -539,8 +547,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_text(200, self._service.metrics_text())
             elif self.path == "/v1/stats":
                 self._send(200, self._service.stats_snapshot())
-            elif self.path == "/v1/fuzz/stats":
-                self._send(200, self._service.fuzz_stats())
             elif self.path == "/v1/jobs":
                 jobs = self._require_jobs()
                 if jobs is not None:
@@ -565,7 +571,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send(404, error_body(f"unknown path {self.path!r}"))
         except ProtocolError as exc:
-            self._error(400, str(exc))
+            self._error(exc.status, str(exc))
         except ConnectionError:
             pass  # client went away (possibly mid-response): nothing to answer
         except Exception as exc:  # noqa: BLE001 - daemon must not die
@@ -638,9 +644,6 @@ class _Handler(BaseHTTPRequestHandler):
             "service.request", request_id=request_id, endpoint="judge"
         ):
             body = self._service.judge(request)
-        get_metrics().counter(
-            "service_requests_total", endpoint="judge", status="200"
-        ).inc()
         self._send(200, body, headers={"X-Request-Id": request_id})
 
     # -- jobs ----------------------------------------------------------

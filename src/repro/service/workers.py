@@ -18,12 +18,11 @@ The protocol is deliberately tiny and picklable end to end:
   ``trace_ctx`` is the dispatching span's
   :class:`~repro.obs.trace.TraceContext` (None with tracing off);
 * worker → parent: ``("result", BatchResult)`` — the per-request
-  response dicts, the batch's :class:`PipelineStats` (locks dropped in
-  ``__getstate__``), the worker cache's hit/miss delta, the worker's
-  finished spans (already parented under ``trace_ctx``), and the
-  worker metrics registry's growth since its last report — or
-  ``("error", traceback_text)`` for a worker-side exception with the
-  worker still healthy.
+  response dicts, the worker's finished spans (already parented under
+  ``trace_ctx``), and the worker metrics registry's growth since its
+  last report, which carries every stage and cache count the batch
+  made — or ``("error", traceback_text)`` for a worker-side exception
+  with the worker still healthy.
 
 Workers are rebuilt from a picklable :class:`WorkerConfig` by a
 module-level, spawn-safe entrypoint (:func:`worker_main`), exactly the
@@ -66,7 +65,6 @@ from repro.experiments.sharding import (
 )
 from repro.obs import trace
 from repro.obs.metrics import get_metrics
-from repro.pipeline.stats import PipelineStats
 from repro.service.protocol import encode_verdict
 from repro.testing import faultinject
 from repro.testing.faultinject import fault_point
@@ -106,19 +104,13 @@ class BatchResult:
 
     ``responses`` carries one response dict per admitted request, in
     request order, lacking only the ``queued_ms`` timing (which only
-    the parent can know).  ``stats`` is the batch's aggregated
-    :class:`PipelineStats`; ``cache_delta`` the worker cache's
-    per-namespace hit/miss growth since its last report (None from the
-    in-process path, whose validators update the parent cache live).
-    ``spans`` are the worker tracer's finished span dicts (None with
-    tracing off or in-process, where spans land in the ambient tracer
-    directly); ``metrics_delta`` is the worker registry's growth since
-    its last report, ready for ``MetricsRegistry.apply``.
+    the parent can know).  ``spans`` are the worker tracer's finished
+    span dicts and ``metrics_delta`` the worker registry's growth since
+    its last report — the only count that crosses the pipe.  Both are
+    None in-process, where spans and counts land directly.
     """
 
     responses: list
-    stats: PipelineStats
-    cache_delta: dict | None = None
     spans: list | None = None
     metrics_delta: dict | None = None
 
@@ -150,7 +142,6 @@ def execute_batch(
     validator = validator_for(options)
     batch_size = len(requests)
     responses: list[dict | None] = [None] * batch_size
-    stats = PipelineStats()
 
     chunk: list[int] = []
     names: set[str] = set()
@@ -164,8 +155,6 @@ def execute_batch(
         t0 = time.perf_counter()
         report = validator.validate_sources(sources)
         wall_ms = round((time.perf_counter() - t0) * 1000, 3)
-        # chunks run one after another: walls sum in the batch aggregate
-        stats.merge(report.stats, concurrent=False)
         stage_snapshot = report.stats.snapshot()["stages"]
         for index in chunk:
             verdicts = [
@@ -193,7 +182,7 @@ def execute_batch(
         chunk.append(i)
         names.update(request_names)
     flush()
-    return BatchResult(responses=responses, stats=stats)
+    return BatchResult(responses=responses)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +217,6 @@ def worker_main(conn, config: WorkerConfig) -> None:
         cache.load()
 
     validators: dict = {}
-    reported = {"hits": {}, "misses": {}}
 
     def validator_for(options):
         validator = validators.get(options)
@@ -246,22 +234,9 @@ def worker_main(conn, config: WorkerConfig) -> None:
             validators[options] = validator
         return validator
 
-    def cache_delta() -> dict | None:
-        if cache is None:
-            return None
-        delta = {}
-        for namespace in cache.namespaces:
-            hits = namespace.hits - reported["hits"].get(namespace.name, 0)
-            misses = namespace.misses - reported["misses"].get(namespace.name, 0)
-            reported["hits"][namespace.name] = namespace.hits
-            reported["misses"][namespace.name] = namespace.misses
-            if hits or misses:
-                delta[namespace.name] = {"hits": hits, "misses": misses}
-        return delta or None
-
-    # metrics ship like the cache delta: growth since the last report.
-    # The baseline starts at the *current* state because under fork the
-    # registry inherits the parent's counts, which must not re-ship.
+    # counts ship as growth since the last report.  The baseline
+    # starts at the *current* state because under fork the registry
+    # inherits the parent's counts, which must not re-ship.
     metrics_baseline = [get_metrics().export_state()]
 
     def metrics_delta() -> dict | None:
@@ -310,7 +285,6 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     result.spans = [s.to_json() for s in tracer.drain()]
                 else:
                     result = execute_batch(validator_for, options, requests)
-                result.cache_delta = cache_delta()
                 result.metrics_delta = metrics_delta()
                 fault_point("worker:pre-result")
                 conn.send(("result", result))

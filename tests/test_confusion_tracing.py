@@ -1,4 +1,4 @@
-"""Tests for the confusion-matrix and pipeline-tracing extensions."""
+"""Tests for the confusion-matrix extension."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.metrics.confusion import (
     confusion_matrix,
     render_breakdown,
 )
-from repro.pipeline.engine import PipelineConfig, ValidationPipeline
-from repro.pipeline.tracing import PipelineTracer, run_traced_pipeline
 
 
 def evals(truth, judged):
@@ -91,66 +89,3 @@ class TestBreakdown:
         assert "By language" in text
         assert "cpp" in text
 
-
-class TestTracer:
-    def test_span_records_event(self):
-        tracer = PipelineTracer()
-        with tracer.span("f.c", "compile"):
-            pass
-        assert len(tracer.events) == 1
-        assert tracer.events[0].stage == "compile"
-        assert tracer.events[0].duration >= 0
-
-    def test_stage_latencies(self):
-        tracer = PipelineTracer()
-        for _ in range(3):
-            with tracer.span("f.c", "judge"):
-                pass
-        stats = tracer.stage_latencies()
-        assert stats["judge"]["count"] == 3
-        assert stats["judge"]["min"] <= stats["judge"]["mean"] <= stats["judge"]["max"]
-
-    def test_file_timeline_ordered(self):
-        tracer = PipelineTracer()
-        with tracer.span("f.c", "compile"):
-            pass
-        with tracer.span("f.c", "execute"):
-            pass
-        timeline = tracer.file_timeline("f.c")
-        assert [e.stage for e in timeline] == ["compile", "execute"]
-
-    def test_stage_gap(self):
-        tracer = PipelineTracer()
-        with tracer.span("f.c", "compile"):
-            pass
-        with tracer.span("f.c", "execute"):
-            pass
-        gap = tracer.stage_gap("f.c", "compile", "execute")
-        assert gap is not None and gap >= 0.0
-        assert tracer.stage_gap("f.c", "execute", "judge") is None
-
-    def test_empty_gantt(self):
-        assert "no trace events" in PipelineTracer().render_gantt()
-
-
-class TestTracedPipeline:
-    def test_traced_run_matches_pipeline_verdicts(self, valid_acc_source, model):
-        tests = [
-            TestFile("good.c", "c", "acc", valid_acc_source, "x"),
-            TestFile("bad.c", "c", "acc", valid_acc_source.replace("{", "", 1), "x"),
-        ]
-        pipeline = ValidationPipeline(PipelineConfig(flavor="acc"), model=model)
-        plain = pipeline.run(tests)
-        traced, tracer = run_traced_pipeline(pipeline, tests)
-        assert [r.pipeline_says_valid for r in traced.records] == [
-            r.pipeline_says_valid for r in plain.records
-        ]
-        assert tracer.events
-
-    def test_gantt_renders_stages(self, valid_acc_source, model):
-        tests = [TestFile("t.c", "c", "acc", valid_acc_source, "x")]
-        pipeline = ValidationPipeline(PipelineConfig(flavor="acc"), model=model)
-        _, tracer = run_traced_pipeline(pipeline, tests)
-        art = tracer.render_gantt()
-        assert "C=compile" in art
-        assert "t.c" in art

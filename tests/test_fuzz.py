@@ -9,12 +9,12 @@ Covers the ISSUE-5 acceptance criteria directly:
 * the minimizer preserves the coverage frontier;
 * the ``fuzz`` cache namespace persists/loads through the bundle;
 * the CLI (``fuzz run|replay|minimize|report``, ``coverage``) and the
-  service's ``GET /v1/fuzz/stats`` surface the engine.
+  campaign totals on the service's ``GET /v1/metrics`` surface the
+  engine.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import urllib.request
@@ -25,18 +25,14 @@ import pytest
 from repro.cache.bundle import NAMESPACE_NAMES, PipelineCache
 from repro.cli import main as cli_main
 from repro.corpus.generator import CorpusGenerator, TestFile
-from repro.fuzz.campaign import (
-    Campaign,
-    CampaignConfig,
-    fuzz_stats_snapshot,
-    reset_fuzz_stats,
-)
+from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.differential import (
     DifferentialOutcome,
     DifferentialRunner,
     Discrepancy,
     divergent_fields,
 )
+from repro.obs.metrics import get_metrics, reset_metrics
 from repro.runtime.interpreter import EXECUTION_BACKENDS
 from repro.fuzz.manifest import (
     CampaignManifest,
@@ -454,13 +450,18 @@ class TestCampaign:
         assert second is not None, "repeat witness was dropped"
         assert len(findings) == 2
 
-    def test_registry_counts_campaigns(self):
-        reset_fuzz_stats()
+    def test_metrics_count_campaigns(self):
+        baseline = get_metrics().export_state()
         result = Campaign(small_config()).run()
-        snap = fuzz_stats_snapshot()
-        assert snap["campaigns"] == 1
-        assert snap["executions"] == result.stats.executions
-        assert snap["last_digest"] == result.digest()
+        grown = {
+            key[1]: value for key, value in get_metrics().diff(baseline)[0].items()
+            if key[1].startswith("fuzz_")
+        }
+        assert grown["fuzz_campaigns_total"] == 1
+        assert grown["fuzz_executions_total"] == result.stats.executions
+        assert grown["fuzz_accepted_total"] == result.stats.accepted
+        assert grown.get("fuzz_discrepancies_total", 0) == len(result.findings)
+        assert grown.get("fuzz_triage_flags_total", 0) == len(result.triage_flags)
 
 
 # ----------------------------------------------------------------------
@@ -683,11 +684,11 @@ class TestCliSurface:
         assert "fuzz:" in capsys.readouterr().out
 
 
-class TestServiceFuzzStats:
-    def test_endpoint_serves_registry(self):
+class TestServiceFuzzMetrics:
+    def test_campaign_totals_reach_the_metrics_endpoint(self):
         from repro.service.server import make_server
 
-        reset_fuzz_stats()
+        reset_metrics()
         server = make_server(port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -695,17 +696,11 @@ class TestServiceFuzzStats:
             host, port = server.server_address[:2]
             result = Campaign(small_config(rounds=1, batch_size=4, seed_count=3)).run()
             with urllib.request.urlopen(
-                f"http://{host}:{port}/v1/fuzz/stats", timeout=10
+                f"http://{host}:{port}/v1/metrics", timeout=10
             ) as resp:
-                data = json.load(resp)
-            assert data["campaigns"] == 1
-            assert data["executions"] == result.stats.executions
-            assert data["last_digest"] == result.digest()
-
-            from repro.service.client import ServiceClient
-
-            via_client = ServiceClient(host=host, port=port).fuzz_stats()
-            assert via_client == data
+                lines = resp.read().decode("utf-8").splitlines()
+            assert "fuzz_campaigns_total 1" in lines
+            assert f"fuzz_executions_total {result.stats.executions}" in lines
         finally:
             server.shutdown()
             server.server_close()

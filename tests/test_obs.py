@@ -220,7 +220,7 @@ class TestMetrics:
     def test_reset_clears_the_global_registry(self):
         get_metrics().counter("stale_total").inc()
         reset_metrics()
-        assert get_metrics().snapshot() == {}
+        assert get_metrics().render_prometheus() == ""
 
 
 # ----------------------------------------------------------------------

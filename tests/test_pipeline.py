@@ -5,7 +5,9 @@ import pytest
 from repro.corpus.generator import TestFile
 from repro.llm.model import DeepSeekCoderSim
 from repro.pipeline.engine import PipelineConfig, ValidationPipeline
-from repro.pipeline.stats import PipelineStats, StageStats
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline import stats as stats_mod
+from repro.pipeline.stats import PipelineStats
 
 
 def make_tests(valid_acc_source: str, n: int = 6) -> list[TestFile]:
@@ -130,22 +132,34 @@ int main() {
         assert report.run_rc == 0
 
 
+def run_registry(files=0, wall=0.0, **stages) -> MetricsRegistry:
+    """A registry holding the counters one scheduler run records.
+
+    ``stages`` maps a stage name to ``(passed, failed, skipped, busy,
+    simulated)``.
+    """
+    registry = MetricsRegistry()
+    registry.counter(stats_mod.FILES).inc(files)
+    registry.counter(stats_mod.WALL).inc(wall)
+    for stage, (passed, failed, skipped, busy, simulated) in stages.items():
+        for outcome, n in (("passed", passed), ("failed", failed), ("skipped", skipped)):
+            registry.counter(stats_mod.STAGE_OUTCOMES, stage=stage, outcome=outcome).inc(n)
+        registry.histogram(stats_mod.STAGE_SECONDS, stage=stage).observe(busy)
+        registry.counter(stats_mod.STAGE_SIMULATED, stage=stage).inc(simulated)
+    return registry
+
+
 class TestStats:
-    def test_stage_record(self):
-        stage = StageStats("compile")
-        stage.record(True, 0.1, 0.1)
-        stage.record(False, 0.2, 0.2)
-        stage.record_skip()
-        snap = stage.snapshot()
+    def test_view_reads_stage_counters(self):
+        registry = run_registry(compile=(1, 1, 1, 0.3, 0.3))
+        snap = PipelineStats(registry.export_state()).snapshot()["stages"]["compile"]
         assert snap["processed"] == 2
         assert snap["passed"] == 1
         assert snap["failed"] == 1
         assert snap["skipped"] == 1
 
     def test_pipeline_summary_shape(self):
-        stats = PipelineStats()
-        stats.files_total = 10
-        stats.wall_seconds = 2.0
+        stats = PipelineStats(run_registry(files=10, wall=2.0).export_state())
         summary = stats.summary()
         assert summary["files_total"] == 10
         assert set(summary["stages"]) == {"compile", "execute", "judge"}
@@ -153,63 +167,57 @@ class TestStats:
     def test_throughput_zero_when_no_time(self):
         assert PipelineStats().throughput == 0.0
 
-    def test_merge_wall_semantics(self):
-        """Concurrent shards max their walls; sequential batches sum."""
-        def batch(wall: float) -> PipelineStats:
-            stats = PipelineStats()
-            stats.wall_seconds = wall
-            stats.files_total = 8
-            return stats
+    def test_walls_sum_across_runs(self):
+        """Runs applied one after another sum their walls, so throughput
+        covers the whole period, not the slowest run."""
+        process = MetricsRegistry()
+        process.merge(run_registry(files=8, wall=2.0))
+        process.merge(run_registry(files=8, wall=3.0))
+        stats = PipelineStats(process.export_state())
+        assert stats.wall_seconds == 5.0
+        assert stats.snapshot()["throughput_files_per_second"] == round(16 / 5.0, 3)
 
-        shards = PipelineStats()
-        shards.merge(batch(2.0))
-        shards.merge(batch(3.0))
-        assert shards.wall_seconds == 3.0  # slowest shard
+    def test_unlisted_stages_join_the_view(self):
+        stats = PipelineStats(run_registry(lint=(1, 0, 0, 0.2, 0.2)).export_state())
+        assert list(stats.snapshot()["stages"]) == [
+            "compile", "execute", "judge", "lint",
+        ]
+        assert stats["lint"].processed == 1
+        assert stats["never"].processed == 0
 
-        service = PipelineStats()
-        service.merge(batch(2.0), concurrent=False)
-        service.merge(batch(3.0), concurrent=False)
-        assert service.wall_seconds == 5.0  # whole serving period
-        assert service.snapshot()["throughput_files_per_second"] == round(16 / 5.0, 3)
-
-    def test_snapshot_is_a_detached_consistent_copy(self):
-        stats = PipelineStats()
-        stats.files_total = 4
-        stats.wall_seconds = 2.0
-        stats.judge.record(True, 0.5, simulated=3.0)
-        stats.judge.record_skip()
+    def test_snapshot_derives_figures_from_the_view(self):
+        registry = run_registry(files=4, wall=2.0, judge=(1, 0, 1, 0.5, 3.0))
+        stats = PipelineStats(registry.export_state())
         snap = stats.snapshot()
         assert snap == stats.summary()  # summary is the snapshot
         assert snap["judge_invocations_saved"] == 1
         assert snap["throughput_files_per_second"] == 2.0
         assert snap["simulated_seconds"] == 3.0
-        # later mutation must not leak into the copy
-        stats.judge.record(False, 0.1, simulated=1.0)
-        assert snap["stages"]["judge"]["processed"] == 1
+        # later growth in the registry does not reach an existing view
+        registry.merge(run_registry(judge=(0, 1, 0, 0.1, 1.0)))
+        assert stats.snapshot()["stages"]["judge"]["processed"] == 1
 
-    def test_snapshot_consistent_under_concurrent_writers(self):
-        """Derived figures come from the copied counters, never live ones."""
+    def test_view_never_sees_half_an_applied_run(self):
+        """Each run lands whole: a reader sees all of a run's counters
+        or none of them."""
         import threading
 
-        stats = PipelineStats()
+        process = MetricsRegistry()
         stop = threading.Event()
 
         def hammer():
             while not stop.is_set():
-                stats.judge.record(True, 0.001, simulated=1.0)
+                process.merge(run_registry(files=1, judge=(1, 0, 0, 0.001, 1.0)))
 
         writers = [threading.Thread(target=hammer) for _ in range(3)]
         for writer in writers:
             writer.start()
         try:
             for _ in range(200):
-                snap = stats.snapshot()
+                snap = PipelineStats(process.export_state()).snapshot()
                 judge = snap["stages"]["judge"]
-                # pass/fail split always sums to processed in one snapshot
-                assert judge["passed"] + judge["failed"] == judge["processed"]
-                assert snap["simulated_seconds"] == round(
-                    judge["simulated_seconds"], 2
-                )
+                assert judge["passed"] == snap["files_total"]
+                assert judge["simulated_seconds"] == judge["passed"]
         finally:
             stop.set()
             for writer in writers:

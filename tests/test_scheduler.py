@@ -6,7 +6,8 @@ import pytest
 
 from repro.pipeline.scheduler import StageScheduler, run_stage
 from repro.pipeline.stages import Stage, StageOutcome
-from repro.pipeline.stats import StageStats
+from repro.obs.metrics import get_metrics
+from repro.pipeline.stats import PipelineStats
 
 
 class DoublingStage(Stage):
@@ -76,10 +77,12 @@ class TestSchedulerBasics:
         assert result.finished == []
         assert result.stats["double"].processed == 0
 
-    def test_external_stats_are_used(self):
-        stats = StageStats("double")
-        run_stage(DoublingStage(), [1, 2], stats={"double": stats})
-        assert stats.processed == 2
+    def test_run_counts_reach_the_process_registry_once(self):
+        baseline = get_metrics().export_state()
+        result = run_stage(DoublingStage(), [1, 2])
+        applied = PipelineStats(get_metrics().diff(baseline)[0], ["double"])
+        assert applied.snapshot() == result.stats.snapshot()
+        assert applied["double"].processed == 2 and applied.files_total == 2
 
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(ValueError):
@@ -273,6 +276,6 @@ class TestPipelineExtension:
 
         files = [TestFile("t.c", "c", "acc", valid_acc_source, "x")]
         result = ExtendedPipeline(PipelineConfig(), model=model).run(files)
-        assert result.stats.for_stage("count").processed == 1
+        assert result.stats["count"].processed == 1
         assert "count" in result.stats.summary()["stages"]
         assert result.records[0].pipeline_says_valid in (True, False)

@@ -428,6 +428,30 @@ class TestHTTPService:
         assert status == 400
         assert "Content-Length" in body["error"]
 
+    def test_oversized_content_length_is_413_before_reading(self, service_server):
+        """A body claiming 1 GB is refused from its header alone: the
+        daemon answers 413 at once instead of waiting for the bytes."""
+        host, port = service_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            t0 = time.monotonic()
+            conn.request(
+                "POST", "/v1/validate", body=b"{}",
+                headers={
+                    "Content-Length": str(1024 ** 3),
+                    "Content-Type": "application/json",
+                },
+            )
+            response = conn.getresponse()
+            status, body = response.status, json.loads(response.read())
+            elapsed = time.monotonic() - t0
+        finally:
+            conn.close()
+        assert status == 413
+        assert "limit" in body["error"]
+        assert elapsed < 5.0
+        assert client_for(service_server).healthz()["status"] == "ok"
+
     def test_unknown_path_is_404(self, service_server):
         client = client_for(service_server)
         with pytest.raises(ServiceError) as excinfo:
@@ -813,9 +837,11 @@ class TestGetErrorHandling:
         assert excinfo.value.status == 500
         assert "internal error" in str(excinfo.value)
 
-    def test_fuzz_stats_endpoint(self, service_server):
-        snap = client_for(service_server).fuzz_stats()
-        assert set(snap) >= {"campaigns", "executions", "discrepancies"}
+    def test_fuzz_stats_endpoint_is_gone(self, service_server):
+        """Campaign totals live on /v1/metrics; the old JSON route 404s."""
+        with pytest.raises(ServiceError) as excinfo:
+            client_for(service_server)._request("GET", "/v1/fuzz/stats")
+        assert excinfo.value.status == 404
 
 
 class TestServeBindErrors:

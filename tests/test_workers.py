@@ -21,6 +21,8 @@ import time
 import pytest
 
 from repro.core import TestsuiteValidator
+from repro.obs.metrics import get_metrics
+from repro.pipeline.stats import PipelineStats
 from repro.service.protocol import ValidateOptions, ValidateRequest
 from repro.service.server import ValidationService
 from repro.service.workers import (
@@ -118,7 +120,8 @@ class TestPoolLifecycle:
 class TestBatchRoundTrip:
     def test_batch_result_pickles_faithfully(self, valid_acc_source):
         """The exact object workers ship back must survive pickling:
-        responses, stage stats (locks dropped/reminted), cache delta."""
+        responses and the metrics delta, the only count it carries."""
+        baseline = get_metrics().export_state()
         result = execute_batch(
             _validator_factory(),
             OPTIONS,
@@ -127,13 +130,11 @@ class TestBatchRoundTrip:
                 _request("variant.c", valid_acc_source.replace("3.0", "3.5")),
             ],
         )
-        result.cache_delta = {"execute": {"hits": 1, "misses": 2}}
+        result.metrics_delta = get_metrics().diff(baseline)[0]
         clone = pickle.loads(pickle.dumps(result))
         assert clone.responses == result.responses
-        assert clone.cache_delta == result.cache_delta
-        assert clone.stats.snapshot() == result.stats.snapshot()
-        # the reminted stats object is live, not a frozen copy
-        clone.stats.merge(result.stats)
+        assert clone.metrics_delta == result.metrics_delta
+        assert PipelineStats(clone.metrics_delta).files_total == 2
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_worker_matches_in_process_execution(
@@ -268,8 +269,8 @@ def _service_validate(service: ValidationService, sources: dict[str, str]) -> di
 
 class TestServiceOverPool:
     def test_stats_merge_from_workers(self, valid_acc_source, tmp_path):
-        """Worker-side pipeline stats and cache counters must land in
-        the parent's ``/v1/stats`` aggregates, same as in-process."""
+        """Worker-side stage and cache counts must reach the parent's
+        ``/v1/stats`` through the metrics delta, same as in-process."""
         from repro.cache.bundle import PipelineCache
 
         cache = PipelineCache(cache_dir=tmp_path / "cache")
@@ -283,11 +284,70 @@ class TestServiceOverPool:
         assert snap["service"]["workers"]["configured"] == 1
         assert snap["service"]["workers"]["batches_dispatched"] == 2
         assert snap["pipeline"]["stages"]["compile"]["processed"] == 2
-        # the repeat was served from the worker's cache; its hit counter
-        # must fold into the parent's summary
+        # the repeat was served from the worker's cache; its lookups
+        # reach the parent's summary through the delta
         assert snap["cache"]["hits"] >= 1
         # drain closed the pool politely: workers flushed to the shared dir
         assert (tmp_path / "cache").exists()
+
+    def test_pooled_counts_equal_in_process_counts(self, valid_acc_source):
+        """The merge path neither drops nor double-counts: the same
+        request sequence gives the same ``/v1/stats`` pipeline and cache
+        counts in-process (``workers=0``) and over a 2-worker pool.
+
+        Each batch is submitted whole (four requests, the batch size),
+        so it runs on one worker; a batch repeats its own requests, and
+        file names never recur across batches, so every repeat is a
+        cache hit whichever worker a batch lands on.
+        """
+        from repro.cache.bundle import PipelineCache
+
+        bad = valid_acc_source.replace("{", "{ int x = ;", 1)
+
+        def request(**files):
+            return ValidateRequest(files=tuple(files.items()), options=OPTIONS)
+
+        batches = []
+        for tag in ("a", "b"):
+            first = request(**{
+                f"{tag}good.c": valid_acc_source, f"{tag}bad.c": bad,
+            })
+            second = request(**{
+                f"{tag}other.c": valid_acc_source.replace("3.0", "3.5"),
+            })
+            batches.append([first, second, first, second])
+
+        def counts(workers: int) -> tuple[dict, dict]:
+            service = ValidationService(
+                cache=PipelineCache(), workers=workers,
+                max_batch_size=4, max_latency=5.0,
+            )
+            try:
+                for batch in batches:
+                    futures = [service.submit(r) for r in batch]
+                    for future in futures:
+                        future.result(timeout=120)
+                snap = service.stats_snapshot()
+            finally:
+                service.drain(timeout=30.0)
+            assert snap["service"]["batching"]["batches"] == len(batches)
+            pipeline = {
+                name: {k: stage[k] for k in ("processed", "passed", "failed", "skipped")}
+                for name, stage in snap["pipeline"]["stages"].items()
+            }
+            pipeline["files_total"] = snap["pipeline"]["files_total"]
+            cache = {
+                name: (ns["hits"], ns["misses"])
+                for name, ns in snap["cache"]["namespaces"].items()
+            }
+            cache["total"] = (snap["cache"]["hits"], snap["cache"]["misses"])
+            return pipeline, cache
+
+        in_process = counts(0)
+        assert in_process[0]["files_total"] == 12
+        assert in_process[0]["judge"]["skipped"] == 4
+        assert in_process[1]["total"][0] > 0  # the repeats hit
+        assert counts(2) == in_process
 
     def test_workers_zero_snapshot_shape(self):
         service = ValidationService(workers=0)
