@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache.bundle import PipelineCache
+from repro.cache.bundle import NAMESPACE_NAMES, PipelineCache, lookup_counts
 from repro.cache.keys import compile_key, content_key, execute_key, judge_key
 from repro.cache.store import Codec, ResultCache
 from repro.cache.wrappers import (
@@ -21,6 +21,7 @@ from repro.compiler.driver import Compiler
 from repro.corpus.generator import TestFile
 from repro.judge.llmj import AgentLLMJ, DirectLLMJ, JudgeResult
 from repro.llm.model import DeepSeekCoderSim
+from repro.obs.metrics import get_metrics
 from repro.pipeline.engine import PipelineConfig, ValidationPipeline
 from repro.runtime.executor import Executor
 
@@ -78,6 +79,18 @@ class TestResultCache:
     def test_bad_max_entries(self):
         with pytest.raises(ValueError):
             ResultCache("t", max_entries=0)
+
+    def test_lookup_counts_read_every_lookup_from_the_registry(self):
+        baseline = get_metrics().export_state()
+        cache = ResultCache("judge")
+        cache.get("k")
+        cache.put("k", 1)
+        cache.get("k")
+        cache.get("k")
+        counts = lookup_counts(get_metrics().diff(baseline)[0])
+        assert set(counts) == set(NAMESPACE_NAMES)
+        assert counts["judge"] == {"hits": 2, "misses": 1}
+        assert counts["compile"] == {"hits": 0, "misses": 0}
 
     def test_corrupt_disk_file_is_cold_start(self, tmp_path):
         cache = PipelineCache(cache_dir=tmp_path)

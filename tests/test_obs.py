@@ -33,6 +33,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_metrics,
     reset_metrics,
+    series,
 )
 from repro.service.protocol import ValidateOptions, ValidateRequest
 from repro.service.server import ValidationService, make_server
@@ -193,6 +194,36 @@ class TestMetrics:
         reg = MetricsRegistry()
         reg.gauge("depth").set(9)
         assert reg.export_state() == {}
+
+    def test_untouched_instruments_stay_out_of_a_fresh_diff(self):
+        """An idle worker ships an empty delta, even with instruments
+        fetched (a run fetches every stage's up front)."""
+        reg = MetricsRegistry()
+        reg.counter("idle_total")
+        reg.histogram("idle_seconds")
+        assert reg.diff({})[0] == {}
+        reg.counter("idle_total").inc()
+        assert list(reg.diff({})[0]) == [("counter", "idle_total", ())]
+
+    def test_apply_refuses_a_histogram_of_another_shape(self):
+        sender = MetricsRegistry()
+        sender.histogram("lat_seconds", buckets=(1.0, 2.0)).observe(0.5)
+        receiver = MetricsRegistry()
+        receiver.histogram("lat_seconds", buckets=(1.0,)).observe(0.5)
+        with pytest.raises(ValueError, match="bucket shape mismatch"):
+            receiver.apply(sender.diff({})[0])
+
+    def test_series_reads_one_instrument_from_a_delta(self):
+        reg = MetricsRegistry()
+        reg.counter("lookups_total", namespace="judge", result="hit").inc(2)
+        reg.counter("lookups_total", namespace="judge", result="miss").inc()
+        reg.counter("other_total").inc()
+        found = sorted(
+            (labels["result"], value)
+            for labels, value in series(reg.diff({})[0], "lookups_total")
+        )
+        assert found == [("hit", 2.0), ("miss", 1.0)]
+        assert series({}, "lookups_total") == []
 
     def test_merge_folds_another_registry(self):
         a, b = MetricsRegistry(), MetricsRegistry()

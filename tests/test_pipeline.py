@@ -119,6 +119,15 @@ int main() {
         assert stats.throughput > 0
         assert stats.judge.simulated_seconds > 0
 
+    def test_each_run_reports_only_its_own_counts(self, valid_acc_source, model):
+        """A run's stats view its own registry, not the process one that
+        every earlier run has already been applied to."""
+        pipeline = ValidationPipeline(PipelineConfig(), model=model)
+        pipeline.run(make_tests(valid_acc_source, 3))
+        second = pipeline.run(make_tests(valid_acc_source, 2)).stats
+        assert second.files_total == 2
+        assert second.compile.processed == 2
+
     def test_empty_input(self, model):
         result = ValidationPipeline(PipelineConfig(), model=model).run([])
         assert result.records == []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.pipeline.scheduler import StageScheduler, run_stage
 from repro.pipeline.stages import Stage, StageOutcome
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import get_metrics, series
 from repro.pipeline.stats import PipelineStats
 
 
@@ -231,6 +231,67 @@ class TestAbort:
         result = scheduler.run([1, 2])
         assert not result.aborted
         assert sorted(result.finished) == [2, 4]
+
+
+class TestRunCounters:
+    """What one run counts into its registry, read back from the
+    growth it leaves in the process registry."""
+
+    def _applied(self, baseline, name, **labels):
+        delta = get_metrics().diff(baseline)[0]
+        return [
+            value for got, value in series(delta, name)
+            if all(got.get(k) == v for k, v in labels.items())
+        ]
+
+    def test_errored_items_are_failed_timed_and_counted_as_errors(self):
+        baseline = get_metrics().export_state()
+        result = run_stage(ExplodingStage(), ["ok1", "boom", "ok2"])
+        assert self._applied(baseline, "pipeline_stage_errors_total", stage="explode") == [1.0]
+        assert self._applied(baseline, "pipeline_stage_items_total", stage="explode") == [2.0]
+        [seconds] = self._applied(baseline, "pipeline_stage_seconds", stage="explode")
+        assert seconds["count"] == 3  # the errored item's busy time too
+        assert result.stats["explode"].busy_seconds == pytest.approx(seconds["sum"])
+
+    def test_outcome_simulated_seconds_replace_busy_time(self):
+        class CostedStage(Stage):
+            name = "costed"
+
+            def process(self, payload, state):
+                if payload == "route":
+                    return StageOutcome(payload, done=True)  # ok=None
+                return StageOutcome(payload, ok=True, done=True, simulated_seconds=2.5)
+
+        result = run_stage(CostedStage(), ["a", "b", "route"])
+        costed = result.stats["costed"]
+        assert costed.processed == 2  # ok=None records no pass/fail
+        assert costed.simulated_seconds == 5.0
+        assert result.stats.files_total == 3
+
+    def test_aborted_run_still_applies_its_counts(self):
+        class AbortFirst(Stage):
+            name = "abort_first"
+            workers = 1
+
+            def __init__(self):
+                self.scheduler = None
+
+            def process(self, payload, state):
+                if payload == 0:
+                    self.scheduler.abort()
+                return StageOutcome(payload, ok=True, done=True)
+
+        stage = AbortFirst()
+        scheduler = StageScheduler([stage], queue_capacity=4)
+        stage.scheduler = scheduler
+        baseline = get_metrics().export_state()
+        result = scheduler.run(list(range(64)))
+        assert result.aborted
+        applied = PipelineStats(get_metrics().diff(baseline)[0], ["abort_first"])
+        assert applied.files_total == 64
+        assert applied.wall_seconds > 0
+        assert applied["abort_first"].passed == len(result.finished)
+        assert applied.snapshot() == result.stats.snapshot()
 
 
 class TestWorkerState:

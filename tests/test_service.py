@@ -379,6 +379,26 @@ class TestHTTPService:
         assert stats["pipeline"]["files_total"] == 1
         assert stats["pipeline"]["stages"]["judge"]["processed"] == 1
 
+    def test_stats_count_only_what_the_daemon_did(self, valid_acc_source):
+        """/v1/stats reads the registry's growth since the daemon
+        started: work the process did before it does not show."""
+        TestsuiteValidator(flavor="acc").validate_sources({"before.c": valid_acc_source})
+        server = make_server(port=0, max_latency=0.01)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = client_for(server)
+            assert client.stats()["pipeline"]["files_total"] == 0
+            client.validate({"after.c": valid_acc_source})
+            pipeline = client.stats()["pipeline"]
+            assert pipeline["files_total"] == 1
+            assert pipeline["stages"]["compile"]["processed"] == 1
+        finally:
+            server.service.drain(timeout=10.0)
+            server.shutdown()
+            server.server_close()
+            thread.join(10.0)
+
     def test_lifetime_stats_walls_sum_across_batches(
         self, service_server, valid_acc_source
     ):
