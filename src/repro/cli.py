@@ -428,27 +428,27 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _make_cache(args: argparse.Namespace):
-    """Build the PipelineCache an invocation asked for (or None); note
-    the registry state on ``args`` for :func:`_finish_cache`."""
+    """Build the PipelineCache an invocation asked for (or None), and
+    the registry state :func:`_finish_cache` measures growth from."""
     from repro.obs.metrics import get_metrics
 
-    args.metrics_baseline = get_metrics().export_state()
+    baseline = get_metrics().export_state()
     if getattr(args, "no_cache", False):
-        return None
+        return None, baseline
     from repro.cache.bundle import PipelineCache
 
     cache = PipelineCache(cache_dir=getattr(args, "cache_dir", None))
     loaded = cache.load()
     if loaded:
         print(f"cache: warm-started {loaded} entries from {args.cache_dir}")
-    return cache
+    return cache, baseline
 
 
-def _finish_cache(cache, args: argparse.Namespace, backend: str | None = None) -> None:
+def _finish_cache(cache, baseline: dict, backend: str | None = None) -> None:
     """Persist (if configured) and summarise cache effectiveness.
 
     Hits and misses are the ``cache_lookups_total`` growth since
-    :func:`_make_cache`, so lookups made in experiment shards count.
+    ``baseline``, so lookups made in experiment shards count.
     ``backend`` names the execution backend the run used; the cache
     itself is backend-agnostic (all backends produce byte-identical
     results), so this is provenance for the operator, not a cache key.
@@ -459,7 +459,7 @@ def _finish_cache(cache, args: argparse.Namespace, backend: str | None = None) -
     from repro.obs.metrics import get_metrics
 
     cache.save()
-    lookups = lookup_counts(get_metrics().diff(args.metrics_baseline)[0])
+    lookups = lookup_counts(get_metrics().diff(baseline)[0])
     hits, misses = (sum(n[k] for n in lookups.values()) for k in ("hits", "misses"))
     parts = ", ".join(
         f"{name} {n['hits']}/{n['hits'] + n['misses']}" for name, n in lookups.items()
@@ -477,7 +477,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     sources = {}
     for path in args.files:
         sources[Path(path).name] = Path(path).read_text()
-    cache = _make_cache(args)
+    cache, baseline = _make_cache(args)
     tracer = obs_trace.Tracer() if args.trace_out else None
     try:
         validator = TestsuiteValidator(
@@ -505,7 +505,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     finally:
         # also reached on KeyboardInterrupt/SIGTERM: the scheduler has
         # drained by now, so persist whatever work completed
-        _finish_cache(cache, args, backend=args.backend)
+        _finish_cache(cache, baseline, backend=args.backend)
         if tracer is not None:
             from repro.obs.export import write_span_log
 
@@ -548,7 +548,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.artifact is None:
         print("experiment: need an artifact name (or --resume DIR)", file=sys.stderr)
         return 2
-    cache = _make_cache(args)
+    cache, baseline = _make_cache(args)
     try:
         exp = Experiments(
             ExperimentConfig(
@@ -575,7 +575,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"experiment: {len(names)} artifact(s), backend {args.backend}")
         return 0
     finally:
-        _finish_cache(cache, args, backend=args.backend)
+        _finish_cache(cache, baseline, backend=args.backend)
 
 
 def _cmd_experiment_durable(args: argparse.Namespace) -> int:
@@ -613,7 +613,7 @@ def _cmd_experiment_durable(args: argparse.Namespace) -> int:
             scale=args.scale, seed=args.seed, artifacts=tuple(names),
             backend=args.backend, jobs=args.jobs,
         )
-    cache = _make_cache(args)
+    cache, baseline = _make_cache(args)
     try:
         outcome = run_artifacts(spec, run_dir, cache=cache, progress=print)
         for name in spec.artifacts:
@@ -636,7 +636,7 @@ def _cmd_experiment_durable(args: argparse.Namespace) -> int:
         )
         raise
     finally:
-        _finish_cache(cache, args, backend=spec.backend)
+        _finish_cache(cache, baseline, backend=spec.backend)
 
 
 def _print_shard_summary(exp) -> None:
@@ -657,7 +657,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import ExperimentConfig, Experiments
     from repro.experiments.report import write_experiments_md
 
-    cache = _make_cache(args)
+    cache, baseline = _make_cache(args)
     try:
         exp = Experiments(
             ExperimentConfig(
@@ -671,7 +671,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote {path} (backend {args.backend})")
         return 0
     finally:
-        _finish_cache(cache, args, backend=args.backend)
+        _finish_cache(cache, baseline, backend=args.backend)
 
 
 def _bind_server(args: argparse.Namespace, cache):
@@ -695,7 +695,7 @@ def _bind_server(args: argparse.Namespace, cache):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    cache = _make_cache(args)
+    cache, _ = _make_cache(args)
     try:
         server = _bind_server(args, cache)
     except OSError as exc:
@@ -908,7 +908,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             print(f"fuzz run: {exc}", file=sys.stderr)
             return 2
         out = args.out
-    cache = _make_cache(args)
+    cache, baseline = _make_cache(args)
     try:
         result = Campaign(config, cache=cache).run(
             progress=print,
@@ -929,7 +929,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         )
         raise
     finally:
-        _finish_cache(cache, args)
+        _finish_cache(cache, baseline)
 
 
 def _fuzz_config(args: argparse.Namespace, languages: tuple, arms: tuple):
@@ -963,7 +963,7 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, ReplayError) as exc:
         print(f"fuzz replay: cannot load manifest: {exc}", file=sys.stderr)
         return 2
-    cache = _make_cache(args)
+    cache, baseline = _make_cache(args)
     try:
         result, identical = replay_manifest(manifest, cache=cache, progress=print)
         if args.out:
@@ -980,7 +980,7 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     finally:
-        _finish_cache(cache, args)
+        _finish_cache(cache, baseline)
 
 
 def _cmd_fuzz_minimize(args: argparse.Namespace) -> int:

@@ -210,9 +210,6 @@ class ValidationService:
             )
         t0 = time.perf_counter()
         result = judge.judge(test, report)
-        get_metrics().counter(
-            "service_requests_total", endpoint="judge", status="200"
-        ).inc()
         return {
             "result": result.to_json(),
             "says_valid": result.says_valid,
@@ -644,6 +641,9 @@ class _Handler(BaseHTTPRequestHandler):
             "service.request", request_id=request_id, endpoint="judge"
         ):
             body = self._service.judge(request)
+        get_metrics().counter(
+            "service_requests_total", endpoint="judge", status="200"
+        ).inc()
         self._send(200, body, headers={"X-Request-Id": request_id})
 
     # -- jobs ----------------------------------------------------------
