@@ -298,7 +298,8 @@ def _main(argv: list[str] | None = None) -> int:
     pf_run.add_argument("--languages", default="c,cpp")
     pf_run.add_argument("--step-limit", type=positive_int, default=300_000)
     pf_run.add_argument("--workers", type=positive_int, default=2,
-                        help="mutate/differential worker threads per stage")
+                        help="differential worker processes; mutate threads "
+                             "(1 runs the oracle in-process)")
     pf_run.add_argument("--judge-workers", type=positive_int, default=2)
     pf_run.add_argument(
         "--triage", choices=("divergent", "all", "off"), default="divergent",
@@ -872,6 +873,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     from repro.fuzz.campaign import Campaign
     from repro.fuzz.checkpoint import CheckpointError, load_checkpoint
+    from repro.fuzz.differential import DifferentialWorkerCrash
     from repro.fuzz.manifest import save_campaign
 
     resume = None
@@ -921,6 +923,13 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         print(f"\nwrote campaign to {out} (digest {result.digest()[:16]}; "
               f"oracle arms {'+'.join(config.arms)})")
         return 1 if result.findings else 0
+    except DifferentialWorkerCrash as exc:
+        print(
+            f"fuzz run: {exc}; the last round boundary is checkpointed; "
+            f"rerun with --resume {out}",
+            file=sys.stderr,
+        )
+        return 3
     except KeyboardInterrupt:
         print(
             f"\nfuzz run: interrupted — the last round boundary is "

@@ -22,6 +22,7 @@ schedule even if the weight heuristics later change.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,7 +33,12 @@ from repro.cache.keys import content_key
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs.metrics import get_metrics
 from repro.pipeline.scheduler import StageScheduler
-from repro.fuzz.differential import Discrepancy, discrepancy_from
+from repro.fuzz.differential import (
+    DifferentialPool,
+    DifferentialWorkerCrash,
+    Discrepancy,
+    discrepancy_from,
+)
 from repro.fuzz.operators import FuzzOperator, operators_by_name
 from repro.fuzz.signature import behavior_signature, coverage_keys
 from repro.fuzz.stages import Candidate, DifferentialStage, MutateStage, TriageStage
@@ -373,7 +379,22 @@ class Campaign:
           set, the run checkpoints what it has and returns early with
           ``result.interrupted`` True (the daemon's SIGTERM
           "checkpoint then drain" path).
+
+        With ``config.workers >= 2`` the differential oracle runs in a
+        :class:`~repro.fuzz.differential.DifferentialPool` of that many
+        processes, open for this call and closed when it ends.  A
+        worker's death raises
+        :class:`~repro.fuzz.differential.DifferentialWorkerCrash`.
+        ``workers=1`` runs everything in-process: the spec the pooled
+        digest matches.
         """
+        with (DifferentialPool(self.config.workers) if self.config.workers > 1
+              else contextlib.nullcontext()) as pool:
+            return self._run(pool, schedule_override, progress, checkpoint_dir,
+                             checkpoint_every, resume, stop)
+
+    def _run(self, pool, schedule_override, progress, checkpoint_dir,
+             checkpoint_every, resume, stop) -> CampaignResult:
         import random as _random
 
         from repro.testing.faultinject import fault_point
@@ -428,7 +449,8 @@ class Campaign:
                 Candidate(index=i, parent=test, operator="", seed=0)
                 for i, test in enumerate(seeds)
             ]
-            processed = self._run_batch(seed_candidates, round_no=0, stats=stats)
+            processed = self._run_batch(seed_candidates, round_no=0, stats=stats,
+                                        pool=pool)
             for cand in processed:
                 entry = self._absorb(cand, frontier, states, stats, findings,
                                      triage_flags, accept_always=True)
@@ -484,7 +506,8 @@ class Campaign:
                         f"unknown parent {drifted!r}; stopping here"
                     )
                 break
-            processed = self._run_batch(batch, round_no=round_no, stats=stats)
+            processed = self._run_batch(batch, round_no=round_no, stats=stats,
+                                        pool=pool)
             for cand in processed:
                 entry = self._absorb(cand, frontier, states, stats, findings,
                                      triage_flags)
@@ -571,7 +594,8 @@ class Campaign:
         return plan
 
     def _run_batch(self, batch: list[Candidate], round_no: int,
-                   stats: CampaignStats) -> list[Candidate]:
+                   stats: CampaignStats,
+                   pool: DifferentialPool | None) -> list[Candidate]:
         config = self.config
         fuzz_cache = (
             getattr(self.cache, "fuzz", None) if self.reuse_differential else None
@@ -587,6 +611,7 @@ class Campaign:
                 workers=config.workers,
                 triage=config.triage,
                 arms=config.arms,
+                pool=pool,
             ),
             TriageStage(
                 self.model_sim,
@@ -598,6 +623,9 @@ class Campaign:
         ]
         scheduler = StageScheduler(stages, queue_capacity=max(16, config.batch_size))
         result = scheduler.run(batch)
+        for error in result.errors:
+            if isinstance(error.error, DifferentialWorkerCrash):
+                raise error.error
         result.raise_first(f"fuzz round {round_no}")
 
         # cost-model accounting (the repo's simulated-service convention):

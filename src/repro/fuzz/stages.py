@@ -5,7 +5,9 @@ One fuzzing round fans its candidate batch over three worker pools:
 * ``mutate``       — apply the scheduled operator with the candidate's
   own seeded RNG (a :class:`MutationError` becomes a typed skip);
 * ``differential`` — compile + run every oracle arm via
-  :class:`~repro.fuzz.differential.DifferentialRunner`;
+  :class:`~repro.fuzz.differential.DifferentialRunner` (in the
+  campaign's :class:`~repro.fuzz.differential.DifferentialPool` when it
+  has one);
 * ``triage``       — LLM-judge candidates the campaign's policy sends
   on (divergent ones always; optionally every survivor).
 
@@ -29,7 +31,11 @@ from repro.judge.llmj import AgentLLMJ, JudgeResult
 from repro.pipeline.stages import Stage, StageOutcome
 from repro.probing.mutators import MutationError
 
-from repro.fuzz.differential import DifferentialOutcome, DifferentialRunner
+from repro.fuzz.differential import (
+    DifferentialOutcome,
+    DifferentialPool,
+    DifferentialRunner,
+)
 from repro.fuzz.operators import FuzzOperator
 
 
@@ -106,6 +112,7 @@ class DifferentialStage(Stage):
         workers: int = 2,
         triage: str = "divergent",  # 'divergent' | 'all' | 'off'
         arms: tuple[str, ...] | None = None,  # None = all registered
+        pool: DifferentialPool | None = None,
     ):
         self.model = model
         self.step_limit = step_limit
@@ -114,6 +121,7 @@ class DifferentialStage(Stage):
         self.workers = workers
         self.triage = triage
         self.arms = arms
+        self.pool = pool
 
     def make_worker_state(self) -> DifferentialRunner:
         return DifferentialRunner(
@@ -122,6 +130,7 @@ class DifferentialStage(Stage):
             openmp_max_version=self.openmp_max_version,
             cache=self.cache,
             arms=self.arms,
+            pool=self.pool,
         )
 
     def process(self, payload: Candidate, runner: DifferentialRunner) -> StageOutcome:

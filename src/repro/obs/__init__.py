@@ -12,9 +12,11 @@ the repo holds with tracing on.
   process registry: the one store for stage, cache and fuzz counts,
   merged across processes only as deltas;
 * :mod:`repro.obs.export`  — JSON-lines span logs, Chrome-trace
-  (Perfetto) conversion, summaries, and a text Gantt view.
+  (Perfetto) conversion, summaries, and a text Gantt view;
+* :mod:`repro.obs.remote`  — a pool worker's span and metrics shipping
+  and the parent's one way of folding them in.
 """
 
-from repro.obs import export, metrics, trace
+from repro.obs import export, metrics, remote, trace
 
-__all__ = ["export", "metrics", "trace"]
+__all__ = ["export", "metrics", "remote", "trace"]

@@ -54,6 +54,7 @@ from repro.judge.llmj import AgentLLMJ
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
 from repro.obs.metrics import get_metrics, series
+from repro.obs.remote import absorb
 from repro.pipeline.stats import PipelineStats
 from repro.service.batching import BatcherClosed, BatchQueueFull, MicroBatcher
 from repro.service.protocol import (
@@ -419,12 +420,8 @@ class ValidationService:
         get_metrics().histogram("service_batch_seconds").observe(
             time.perf_counter() - t0
         )
-        # telemetry shipped home by a pool worker: spans into the
-        # ambient tracer, metric growth into the parent registry
-        tracer = trace.active()
-        if tracer is not None and result.spans:
-            tracer.absorb(result.spans)
-        get_metrics().apply(result.metrics_delta)
+        # telemetry shipped home by a pool worker (None in-process)
+        absorb(result.spans, result.metrics_delta)
         for payload, response in zip(payloads, result.responses):
             response["timings"]["queued_ms"] = round(
                 (dispatched_at - payload.enqueued_at) * 1000, 3

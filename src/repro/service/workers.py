@@ -22,7 +22,9 @@ The protocol is deliberately tiny and picklable end to end:
   ``trace_ctx``), and the worker metrics registry's growth since its
   last report, which carries every stage and cache count the batch
   made — or ``("error", traceback_text)`` for a worker-side exception
-  with the worker still healthy.
+  with the worker still healthy.  Spans and delta are packed by
+  :class:`~repro.obs.remote.WorkerTelemetry`, the same shipping the
+  fuzz campaign's differential pool uses.
 
 Workers are rebuilt from a picklable :class:`WorkerConfig` by a
 module-level, spawn-safe entrypoint (:func:`worker_main`), exactly the
@@ -51,7 +53,6 @@ holds the pool to.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 import traceback
@@ -65,6 +66,7 @@ from repro.experiments.sharding import (
 )
 from repro.obs import trace
 from repro.obs.metrics import get_metrics
+from repro.obs.remote import WorkerTelemetry
 from repro.service.protocol import encode_verdict
 from repro.testing import faultinject
 from repro.testing.faultinject import fault_point
@@ -234,15 +236,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
             validators[options] = validator
         return validator
 
-    # counts ship as growth since the last report.  The baseline
-    # starts at the *current* state because under fork the registry
-    # inherits the parent's counts, which must not re-ship.
-    metrics_baseline = [get_metrics().export_state()]
-
-    def metrics_delta() -> dict | None:
-        delta, metrics_baseline[0] = get_metrics().diff(metrics_baseline[0])
-        return delta or None
-
+    telemetry = WorkerTelemetry()
     parent = multiprocessing.parent_process()
     try:
         while True:
@@ -263,29 +257,13 @@ def worker_main(conn, config: WorkerConfig) -> None:
             _, options, requests, *rest = message
             trace_ctx = rest[0] if rest else None
             try:
-                if trace_ctx is not None:
-                    # per-batch tracer: the root span opens from the
-                    # dispatching span's shipped context, so everything
-                    # the worker records is already parented correctly
-                    # when the parent absorbs it
-                    tracer = trace.Tracer()
-                    trace.install(tracer)
-                    try:
-                        with tracer.span(
-                            "worker.execute_batch",
-                            parent=trace_ctx,
-                            worker_pid=os.getpid(),
-                            requests=len(requests),
-                        ):
-                            result = execute_batch(
-                                validator_for, options, requests
-                            )
-                    finally:
-                        trace.uninstall()
-                    result.spans = [s.to_json() for s in tracer.drain()]
-                else:
-                    result = execute_batch(validator_for, options, requests)
-                result.metrics_delta = metrics_delta()
+                result, spans, delta = telemetry.run(
+                    trace_ctx,
+                    "worker.execute_batch",
+                    lambda: execute_batch(validator_for, options, requests),
+                    requests=len(requests),
+                )
+                result.spans, result.metrics_delta = spans, delta
                 fault_point("worker:pre-result")
                 conn.send(("result", result))
             except Exception:  # noqa: BLE001 - forwarded to the parent

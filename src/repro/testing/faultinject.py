@@ -58,6 +58,12 @@ Instrumented points in this repo (grep ``fault_point(`` for the list):
   here is the canonical "worker died mid-batch" scenario: the parent
   must detect the death, respawn, retry once, and still return
   byte-identical verdicts.
+- ``fuzz:worker-compute`` — in a fuzz campaign's differential pool
+  worker, before it compiles and runs a candidate.  ``kill`` here is
+  "fuzz worker killed mid-candidate": the campaign must stop with
+  :class:`~repro.fuzz.differential.DifferentialWorkerCrash`, leave no
+  pool child alive, and resume from its checkpoint to the same digest.
+  Hit counts are per worker process.
 
 Stdlib-only on purpose: everything else in the package may import this
 module without creating a cycle.

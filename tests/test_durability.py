@@ -17,9 +17,12 @@ The crash-recovery contract this file proves:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import subprocess
 import sys
 import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,7 @@ from repro.experiments.rundir import (
 )
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.checkpoint import CheckpointError, load_checkpoint
+from repro.fuzz.differential import DifferentialWorkerCrash
 from repro.testing import faultinject
 from repro.testing.faultinject import FaultError, fault_point, install
 
@@ -240,6 +244,49 @@ class TestCampaignCheckpointResume:
         assert checkpoint.next_round == config.rounds + 1
 
 
+class TestDifferentialWorkerKill:
+    """A pool worker SIGKILLed mid-candidate stops the campaign with a
+    typed error, leaves no child behind, and the checkpoint resumes."""
+
+    def test_killed_worker_raises_typed_error_then_resume_matches(
+        self, tmp_path, monkeypatch
+    ):
+        config = small_config(rounds=3)
+        control = Campaign(replace(config, workers=1, judge_workers=1)).run()
+
+        # hit N > seed_count in one worker is past the seed checkpoint;
+        # the run computes enough candidates that some worker reaches it
+        kill_at = config.seed_count + 1
+        monkeypatch.setenv(
+            faultinject.ENV_VAR, f"fuzz:worker-compute@{kill_at}=kill"
+        )
+        raised = []
+
+        def crashing_run() -> None:
+            try:
+                Campaign(config).run(checkpoint_dir=str(tmp_path))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                raised.append(exc)
+
+        runner = threading.Thread(target=crashing_run, daemon=True)
+        started = time.monotonic()
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the campaign hung on a dead worker"
+        assert time.monotonic() - started < 30
+        assert len(raised) == 1 and isinstance(raised[0], DifferentialWorkerCrash)
+        assert "candidate '" in str(raised[0])
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.delenv(faultinject.ENV_VAR)
+        checkpoint = load_checkpoint(tmp_path)
+        assert checkpoint is not None
+        resumed = Campaign(config).run(
+            checkpoint_dir=str(tmp_path), resume=checkpoint
+        )
+        assert resumed.digest() == control.digest()
+
+
 # ----------------------------------------------------------------------
 # kill -9 + --resume through the real CLI
 # ----------------------------------------------------------------------
@@ -262,6 +309,29 @@ def _run_cli(cmd: list[str], fault: str | None = None) -> subprocess.CompletedPr
     if fault is not None:
         env[faultinject.ENV_VAR] = fault
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def _live_processes_mentioning(marker: str, grace: float = 5.0) -> list[int]:
+    """Pids whose command line names ``marker``, once ``grace`` seconds
+    have passed for orphans to notice their parent is gone."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        pytest.skip("needs /proc to find orphaned workers")
+    deadline = time.monotonic() + grace
+    while True:
+        pids = []
+        for entry in proc.iterdir():
+            if not entry.name.isdigit():
+                continue
+            try:
+                cmdline = (entry / "cmdline").read_bytes()
+            except OSError:
+                continue
+            if marker.encode() in cmdline:
+                pids.append(int(entry.name))
+        if not pids or time.monotonic() > deadline:
+            return pids
+        time.sleep(0.2)
 
 
 def _campaign_digest(out: Path) -> str:
@@ -310,6 +380,36 @@ class TestKillResumeCLI:
         assert resumed.returncode == 0, resumed.stderr
         assert "resuming campaign" in resumed.stdout
         assert _campaign_digest(out) == control_campaign
+
+    def test_killed_fuzz_worker_exits_nonzero_then_resume_matches(
+        self, tmp_path, control_campaign
+    ):
+        out = tmp_path / "crashed"
+        # hit 4 in one worker lands past the 3-seed checkpoint
+        crashed = _run_cli(
+            _fuzz_cli(out, "--workers", "2"), fault="fuzz:worker-compute@4=kill"
+        )
+        assert crashed.returncode == 3, crashed.stderr
+        assert "differential worker process died" in crashed.stderr
+        assert not _live_processes_mentioning(str(out))
+        assert (out / "checkpoint.json").exists()
+
+        resumed = _run_cli(
+            [
+                sys.executable, "-m", "repro.cli", "fuzz", "run",
+                "--resume", str(out), "--no-cache",
+            ]
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert _campaign_digest(out) == control_campaign
+
+    def test_sigkilled_pooled_campaign_leaves_no_worker(self, tmp_path):
+        out = tmp_path / "killed"
+        crashed = _run_cli(
+            _fuzz_cli(out, "--workers", "2"), fault="campaign:post-round@1=kill"
+        )
+        assert crashed.returncode == -9, crashed.stderr
+        assert not _live_processes_mentioning(str(out))
 
     def test_resume_without_checkpoint_is_a_clean_error(self, tmp_path):
         proc = _run_cli(

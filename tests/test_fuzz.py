@@ -15,6 +15,8 @@ Covers the ISSUE-5 acceptance criteria directly:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 import threading
 import urllib.request
@@ -32,7 +34,8 @@ from repro.fuzz.differential import (
     Discrepancy,
     divergent_fields,
 )
-from repro.obs.metrics import get_metrics, reset_metrics
+from repro.obs.metrics import get_metrics, reset_metrics, series
+from repro.obs.trace import Tracer, installed
 from repro.runtime.interpreter import EXECUTION_BACKENDS
 from repro.fuzz.manifest import (
     CampaignManifest,
@@ -462,6 +465,61 @@ class TestCampaign:
         assert grown["fuzz_accepted_total"] == result.stats.accepted
         assert grown.get("fuzz_discrepancies_total", 0) == len(result.findings)
         assert grown.get("fuzz_triage_flags_total", 0) == len(result.triage_flags)
+
+
+def _fuzz_counts(delta: dict) -> dict:
+    """The campaign's ``fuzz_*`` counters and fuzz-namespace cache
+    lookups from a registry diff."""
+    counts = {
+        key[1]: value for key, value in delta.items()
+        if key[0] == "counter" and key[1].startswith("fuzz_")
+    }
+    for labels, value in series(delta, "cache_lookups_total"):
+        if labels.get("namespace") == "fuzz":
+            counts[f"cache_lookups_total{{{labels['result']}}}"] = value
+    return counts
+
+
+class TestDifferentialPool:
+    """``workers >= 2`` runs the oracle in a campaign-scoped process
+    pool; ``workers=1`` is the in-process spec it must match."""
+
+    def test_spawned_pool_matches_the_in_process_digest(self, monkeypatch):
+        from repro.experiments import sharding
+
+        monkeypatch.setattr(sharding, "default_start_method", lambda: "spawn")
+        config = small_config(rounds=1)
+        serial = Campaign(replace(config, workers=1, judge_workers=1)).run()
+        pooled = Campaign(config).run()
+        assert pooled.digest() == serial.digest()
+        assert multiprocessing.active_children() == []
+
+    def test_traced_pool_parents_worker_spans_under_stage_differential(self):
+        tracer = Tracer()
+        with installed(tracer):
+            Campaign(small_config(rounds=1)).run()
+        spans = tracer.spans
+        stage_ids = {
+            s.span_id for s in spans
+            if s.name == "stage.differential" and s.pid == os.getpid()
+        }
+        remote = [s for s in spans if s.name == "worker.differential"]
+        assert remote, "no worker spans shipped home"
+        assert {s.parent_id for s in remote} <= stage_ids
+        assert all(s.pid != os.getpid() for s in remote)
+        # every candidate the differential stage saw ran in a worker
+        assert len(remote) == len(stage_ids)
+
+    def test_pooled_counts_equal_in_process_counts(self):
+        config = small_config(rounds=1)
+        counts = []
+        for workers in (1, 2):
+            baseline = get_metrics().export_state()
+            Campaign(replace(config, workers=workers), cache=PipelineCache()).run()
+            counts.append(_fuzz_counts(get_metrics().diff(baseline)[0]))
+        assert counts[0]["fuzz_campaigns_total"] == 1
+        assert "cache_lookups_total{miss}" in counts[0]
+        assert counts[1] == counts[0]
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,16 @@ class TestJobsHTTP:
 
         health = client.healthz()
         assert health["jobs"]["by_state"]["done"] == 1
+
+    def test_pooled_campaign_job_gets_the_in_process_digest(
+        self, jobs_server, tiny_digest
+    ):
+        client = client_for(jobs_server)
+        spec = replace(TINY_CAMPAIGN, workers=2).to_json()
+        record = client.submit_job("campaign", spec)
+        finished = client.wait_for_job(record["id"], timeout=180.0)
+        assert finished["state"] == "done", finished.get("error")
+        assert finished["result"]["digest"] == tiny_digest
 
     def test_bad_spec_is_http_400(self, jobs_server):
         client = client_for(jobs_server)
