@@ -93,6 +93,12 @@ class ResultCache:
         ).inc()
         return value
 
+    def peek(self, key: str) -> Any | None:
+        """The value for ``key`` without counting a lookup or refreshing
+        recency: for planning work, never in place of :meth:`get`."""
+        with self._lock:
+            return self._entries.get(key)
+
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             if key in self._entries:

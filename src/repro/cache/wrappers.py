@@ -31,6 +31,11 @@ class CachingCompiler:
     compile-cache hit also carries the lowered closures: repeated
     executions of one unit — worker scaling, ablations, Part-Two
     re-judging — skip both parsing *and* lowering.
+
+    Only results the execute stage can use are stored: a failed compile,
+    or a success that carries its unit.  A pool worker keeps its AST
+    (``repro.pipeline.pool``), so its successful compiles are served to
+    the run that asked but never cached.
     """
 
     def __init__(self, inner: Compiler, cache: ResultCache):
@@ -43,7 +48,12 @@ class CachingCompiler:
 
     def compile(self, source: str, filename: str = "<input>") -> CompileResult:
         key = compile_key(self.inner.fingerprint(), filename, source)
-        return self.cache.get_or_compute(key, lambda: self.inner.compile(source, filename))
+        result = self.cache.get(key)
+        if result is None:
+            result = self.inner.compile(source, filename)
+            if result.unit is not None or not result.ok:
+                self.cache.put(key, result)
+        return result
 
 
 class CachingExecutor:

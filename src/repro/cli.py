@@ -123,7 +123,12 @@ def _main(argv: list[str] | None = None) -> int:
     p_validate.add_argument("--flavor", choices=("acc", "omp"), default="acc")
     p_validate.add_argument("--judge", choices=("direct", "indirect"), default="direct")
     p_validate.add_argument("--no-early-exit", action="store_true")
-    p_validate.add_argument("--workers", type=int, default=2)
+    p_validate.add_argument(
+        "--workers", type=positive_int, default=2,
+        help="compile and execute each run's files in this many worker "
+             "processes (default 2); 1 validates in-process, the spec "
+             "pooled verdicts match",
+    )
     p_validate.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="write a JSON-lines span log of the run (inspect with "
@@ -474,6 +479,7 @@ def _finish_cache(cache, baseline: dict, backend: str | None = None) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.core import TestsuiteValidator
     from repro.obs import trace as obs_trace
+    from repro.pipeline.pool import ComputeWorkerCrash
 
     sources = {}
     for path in args.files:
@@ -489,11 +495,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             cache=cache,
             execution_backend=args.backend,
         )
-        if tracer is not None:
-            with obs_trace.installed(tracer):
+        try:
+            if tracer is not None:
+                with obs_trace.installed(tracer):
+                    report = validator.validate_sources(sources)
+            else:
                 report = validator.validate_sources(sources)
-        else:
-            report = validator.validate_sources(sources)
+        except ComputeWorkerCrash as exc:
+            print(f"validate: {exc}", file=sys.stderr)
+            return 3
         for judged in report.files:
             marker = "PASS" if judged.is_valid else "FAIL"
             print(f"[{marker}] {judged.name} ({judged.stage}): {judged.reason}")
@@ -873,7 +883,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     from repro.fuzz.campaign import Campaign
     from repro.fuzz.checkpoint import CheckpointError, load_checkpoint
-    from repro.fuzz.differential import DifferentialWorkerCrash
+    from repro.pipeline.pool import ComputeWorkerCrash
     from repro.fuzz.manifest import save_campaign
 
     resume = None
@@ -923,7 +933,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         print(f"\nwrote campaign to {out} (digest {result.digest()[:16]}; "
               f"oracle arms {'+'.join(config.arms)})")
         return 1 if result.findings else 0
-    except DifferentialWorkerCrash as exc:
+    except ComputeWorkerCrash as exc:
         print(
             f"fuzz run: {exc}; the last round boundary is checkpointed; "
             f"rerun with --resume {out}",

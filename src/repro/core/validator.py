@@ -91,10 +91,20 @@ class TestsuiteValidator:
         Skip the (expensive) judge for files that already failed
         compile or execute.  On by default, as in §III-C.
     workers:
-        Worker count applied to the compile and execute pools.
+        With 2 or more, each :meth:`validate` call compiles and
+        executes its files in a process pool of up to that many
+        workers, open for the call (see
+        :meth:`ValidationPipeline.run
+        <repro.pipeline.engine.ValidationPipeline.run>`); ``1`` runs
+        everything in-process, the spec pooled verdicts match.  Also
+        the compile and execute stages' thread counts.
     cache:
         Optional :class:`repro.cache.bundle.PipelineCache`; repeated
         validations of unchanged sources reuse compile/run/judge work.
+    in_process:
+        Never open a process pool; ``workers`` then sizes the stage
+        threads only.  For callers that already parallelise across
+        processes, such as the daemon and its pool workers.
     """
 
     __test__ = False
@@ -111,6 +121,7 @@ class TestsuiteValidator:
         model: DeepSeekCoderSim | None = None,
         cache=None,
         execution_backend: str = "closure",
+        in_process: bool = False,
     ):
         self.config = PipelineConfig(
             flavor=flavor,
@@ -124,12 +135,13 @@ class TestsuiteValidator:
             openmp_max_version=openmp_max_version,
         )
         self.pipeline = ValidationPipeline(self.config, model=model, cache=cache)
+        self.processes = 1 if in_process else workers
 
     # ------------------------------------------------------------------
 
     def validate(self, tests: list[TestFile]) -> ValidationReport:
         """Validate prepared :class:`TestFile` objects."""
-        result = self.pipeline.run(tests)
+        result = self.pipeline.run(tests, processes=self.processes)
         report = ValidationReport(stats=result.stats)
         for record in result.records:
             report.files.append(self._to_judged(record))

@@ -32,13 +32,9 @@ from repro.corpus.generator import CorpusGenerator, TestFile
 from repro.cache.keys import content_key
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs.metrics import get_metrics
+from repro.pipeline.pool import ComputePool, ComputeWorkerCrash
 from repro.pipeline.scheduler import StageScheduler
-from repro.fuzz.differential import (
-    DifferentialPool,
-    DifferentialWorkerCrash,
-    Discrepancy,
-    discrepancy_from,
-)
+from repro.fuzz.differential import Discrepancy, discrepancy_from
 from repro.fuzz.operators import FuzzOperator, operators_by_name
 from repro.fuzz.signature import behavior_signature, coverage_keys
 from repro.fuzz.stages import Candidate, DifferentialStage, MutateStage, TriageStage
@@ -381,14 +377,14 @@ class Campaign:
           "checkpoint then drain" path).
 
         With ``config.workers >= 2`` the differential oracle runs in a
-        :class:`~repro.fuzz.differential.DifferentialPool` of that many
+        :class:`~repro.pipeline.pool.ComputePool` of that many
         processes, open for this call and closed when it ends.  A
         worker's death raises
-        :class:`~repro.fuzz.differential.DifferentialWorkerCrash`.
+        :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
         ``workers=1`` runs everything in-process: the spec the pooled
         digest matches.
         """
-        with (DifferentialPool(self.config.workers) if self.config.workers > 1
+        with (ComputePool(self.config.workers) if self.config.workers > 1
               else contextlib.nullcontext()) as pool:
             return self._run(pool, schedule_override, progress, checkpoint_dir,
                              checkpoint_every, resume, stop)
@@ -595,7 +591,7 @@ class Campaign:
 
     def _run_batch(self, batch: list[Candidate], round_no: int,
                    stats: CampaignStats,
-                   pool: DifferentialPool | None) -> list[Candidate]:
+                   pool: ComputePool | None) -> list[Candidate]:
         config = self.config
         fuzz_cache = (
             getattr(self.cache, "fuzz", None) if self.reuse_differential else None
@@ -624,7 +620,7 @@ class Campaign:
         scheduler = StageScheduler(stages, queue_capacity=max(16, config.batch_size))
         result = scheduler.run(batch)
         for error in result.errors:
-            if isinstance(error.error, DifferentialWorkerCrash):
+            if isinstance(error.error, ComputeWorkerCrash):
                 raise error.error
         result.raise_first(f"fuzz round {round_no}")
 

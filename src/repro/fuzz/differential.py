@@ -20,33 +20,24 @@ and changing the arm set changes the key (a two-arm verdict must never
 satisfy a three-arm campaign).
 
 The oracle is pure CPU work under the GIL, so a campaign with two or
-more workers runs it in a :class:`DifferentialPool` of processes.  The
-cache lookup and store stay in the campaign's process; only
-:meth:`DifferentialRunner._compute` crosses the boundary, through the
-module-level, spawn-safe :func:`compute_candidate`, whose argument is
-the picklable :class:`RunnerSpec`.  The in-process path (one worker)
-is the executable spec the pooled digest must match byte for byte.
+more workers runs it in the :class:`~repro.pipeline.pool.ComputePool`
+of processes the validation pipeline also uses.  The cache lookup and
+store stay in the campaign's process; only the compile and the arms'
+runs cross the boundary (:func:`~repro.pipeline.pool.compile_and_run`
+under every arm).  The in-process path (one worker) is the executable
+spec the pooled digest must match byte for byte.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 from repro.cache.keys import content_key
 from repro.cache.store import ResultCache
-from repro.compiler.driver import Compiler
-from repro.obs import trace
-from repro.obs.remote import WorkerTelemetry, absorb
+from repro.compiler.driver import Compiler, CompileResult
+from repro.pipeline.pool import ComputePool, ComputeSpec, compile_and_run
 from repro.runtime.executor import ExecutionResult, Executor
 from repro.runtime.interpreter import EXECUTION_BACKENDS
-from repro.testing import faultinject
-from repro.testing.faultinject import fault_point
 
 #: fields of :class:`ExecutionResult` the oracle compares (all of them)
 OBSERVABLES = ("returncode", "stdout", "stderr", "fault", "timed_out", "steps")
@@ -207,17 +198,6 @@ def divergent_fields(walk: ExecutionResult, closure: ExecutionResult) -> tuple[s
     return divergence({"walk": walk, "closure": closure})
 
 
-@dataclass(frozen=True)
-class RunnerSpec:
-    """What a :class:`DifferentialRunner` computes with: picklable, so a
-    pool worker rebuilds the same runner from it."""
-
-    model: str
-    step_limit: int
-    openmp_max_version: float
-    arms: tuple[str, ...]
-
-
 class DifferentialRunner:
     """Compile once, run under every arm, compare observables pairwise.
 
@@ -236,14 +216,14 @@ class DifferentialRunner:
         openmp_max_version: float = 4.5,
         cache: ResultCache | None = None,
         arms: tuple[str, ...] | None = None,
-        pool: DifferentialPool | None = None,
+        pool: ComputePool | None = None,
     ):
         self.compiler = Compiler(model=model, openmp_max_version=openmp_max_version)
         self.step_limit = step_limit
         self.cache = cache
         self.pool = pool
         self.arms = tuple(arms) if arms is not None else EXECUTION_BACKENDS
-        self.spec = RunnerSpec(model, step_limit, openmp_max_version, self.arms)
+        self.spec = ComputeSpec("fuzz", model, openmp_max_version, step_limit)
         unknown = [arm for arm in self.arms if arm not in EXECUTION_BACKENDS]
         if unknown:
             raise ValueError(
@@ -286,139 +266,27 @@ class DifferentialRunner:
         if self.pool is None:
             outcome = self._compute(test)
         else:
-            outcome = self.pool.compute(self.spec, test)
+            outcome = _outcome(
+                *self.pool.compute(self.spec, test.name, test.source, self.arms)
+            )
         if self.cache is not None:
             self.cache.put(key, outcome.to_json())
         return outcome
 
     def _compute(self, test) -> DifferentialOutcome:
-        compiled = self.compiler.compile(test.source, test.name)
-        if not compiled.ok:
-            return DifferentialOutcome(
-                compile_rc=compiled.returncode,
-                diagnostic_codes=tuple(compiled.diagnostic_codes),
-                compile_stderr=compiled.stderr,
-            )
-        results = {arm: self.executors[arm].run(compiled) for arm in self.arms}
-        return DifferentialOutcome(
-            compile_rc=compiled.returncode,
-            diagnostic_codes=tuple(compiled.diagnostic_codes),
-            compile_stderr=compiled.stderr,
-            results=results,
-            divergent_fields=divergence(results),
+        return _outcome(
+            *compile_and_run(self.compiler, self.executors, test.source, test.name)
         )
 
 
-class DifferentialWorkerCrash(RuntimeError):
-    """A differential pool worker died (SIGKILL, OOM) mid-campaign.
-
-    Names the candidate whose outcome was lost.  The campaign stops
-    with it; its last round-boundary checkpoint resumes to the same
-    digest.
-    """
-
-
-class DifferentialPool:
-    """The campaign-scoped process pool behind the differential stage.
-
-    Opening it forks (or spawns) every worker at once, on the calling
-    thread: with fork, Python 3.11 launches all workers at the first
-    submit, and that submit must not happen on a scheduler thread.
-    :meth:`compute` is thread-safe; the stage's threads each keep one
-    candidate in flight.  :meth:`close` leaves no child alive, after a
-    normal end and after a worker death alike.
-    """
-
-    def __init__(self, workers: int):
-        from repro.experiments import sharding
-
-        context = multiprocessing.get_context(sharding.default_start_method())
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(os.getpid(),),
-        )
-        try:
-            with sharding.package_root_on_pythonpath():
-                for ready in [
-                    self._executor.submit(os.getpid) for _ in range(workers)
-                ]:
-                    ready.result()
-        except BaseException:
-            self.close()
-            raise
-
-    def compute(self, spec: RunnerSpec, test) -> DifferentialOutcome:
-        """``DifferentialRunner._compute`` for ``test``, in a worker."""
-        try:
-            future = self._executor.submit(
-                compute_candidate, spec, test, trace.current()
-            )
-            payload, spans, metrics_delta = future.result()
-        except BrokenProcessPool as exc:
-            raise DifferentialWorkerCrash(
-                f"a differential worker process died while computing "
-                f"candidate {test.name!r}"
-            ) from exc
-        absorb(spans, metrics_delta)
-        return DifferentialOutcome.from_json(payload)
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "DifferentialPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-#: per worker process: its telemetry shipper and one runner per spec
-_worker_telemetry: WorkerTelemetry | None = None
-_worker_runners: dict[RunnerSpec, DifferentialRunner] = {}
-
-
-def _init_worker(parent_pid: int) -> None:
-    """Pool worker start-up (module-level: spawn-safe)."""
-    global _worker_telemetry
-    # re-read REPRO_FAULT_POINTS: a forked worker would otherwise
-    # inherit the parent's parsed (possibly test-cleared) state
-    faultinject.reset()
-    _worker_telemetry = WorkerTelemetry()
-    threading.Thread(
-        target=_exit_with_parent, args=(parent_pid,),
-        name="differential-parent-watch", daemon=True,
-    ).start()
-
-
-def _exit_with_parent(parent_pid: int) -> None:
-    """A worker outlives no campaign: a SIGKILLed parent never closes
-    the pool, so each worker watches for being re-parented."""
-    while os.getppid() == parent_pid:
-        time.sleep(0.5)
-    os._exit(1)
-
-
-def compute_candidate(spec: RunnerSpec, test, trace_ctx) -> tuple:
-    """The pool worker's entrypoint (module-level: spawn-safe).
-
-    Returns ``(outcome.to_json(), spans, metrics_delta)``: the spans
-    are parented under ``trace_ctx``, the dispatching
-    ``stage.differential`` context.
-    """
-    fault_point("fuzz:worker-compute")
-    runner = _worker_runners.get(spec)
-    if runner is None:
-        runner = _worker_runners[spec] = DifferentialRunner(
-            model=spec.model, step_limit=spec.step_limit,
-            openmp_max_version=spec.openmp_max_version, arms=spec.arms,
-        )
-    outcome, spans, metrics_delta = _worker_telemetry.run(
-        trace_ctx, "worker.differential", lambda: runner._compute(test),
-        file=test.name,
+def _outcome(compiled: CompileResult, results: dict) -> DifferentialOutcome:
+    return DifferentialOutcome(
+        compile_rc=compiled.returncode,
+        diagnostic_codes=tuple(compiled.diagnostic_codes),
+        compile_stderr=compiled.stderr,
+        results=results,
+        divergent_fields=divergence(results),
     )
-    return outcome.to_json(), spans, metrics_delta
 
 
 def discrepancy_from(test, operator: str, outcome: DifferentialOutcome) -> Discrepancy:

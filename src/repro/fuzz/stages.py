@@ -6,8 +6,8 @@ One fuzzing round fans its candidate batch over three worker pools:
   own seeded RNG (a :class:`MutationError` becomes a typed skip);
 * ``differential`` — compile + run every oracle arm via
   :class:`~repro.fuzz.differential.DifferentialRunner` (in the
-  campaign's :class:`~repro.fuzz.differential.DifferentialPool` when it
-  has one);
+  campaign's :class:`~repro.pipeline.pool.ComputePool` when it has
+  one);
 * ``triage``       — LLM-judge candidates the campaign's policy sends
   on (divergent ones always; optionally every survivor).
 
@@ -28,14 +28,11 @@ from dataclasses import dataclass, replace
 from repro.corpus.generator import EXTENSIONS, TestFile
 from repro.judge.agent import ToolReport
 from repro.judge.llmj import AgentLLMJ, JudgeResult
+from repro.pipeline.pool import ComputePool
 from repro.pipeline.stages import Stage, StageOutcome
 from repro.probing.mutators import MutationError
 
-from repro.fuzz.differential import (
-    DifferentialOutcome,
-    DifferentialPool,
-    DifferentialRunner,
-)
+from repro.fuzz.differential import DifferentialOutcome, DifferentialRunner
 from repro.fuzz.operators import FuzzOperator
 
 
@@ -112,7 +109,7 @@ class DifferentialStage(Stage):
         workers: int = 2,
         triage: str = "divergent",  # 'divergent' | 'all' | 'off'
         arms: tuple[str, ...] | None = None,  # None = all registered
-        pool: DifferentialPool | None = None,
+        pool: ComputePool | None = None,
     ):
         self.model = model
         self.step_limit = step_limit

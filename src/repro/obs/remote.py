@@ -1,14 +1,15 @@
 """Telemetry across a process boundary: the worker's side and the parent's.
 
-A pool worker (a validation worker of the daemon, a differential
-worker of a fuzz campaign) runs each unit of work through
-:meth:`WorkerTelemetry.run`.  With the dispatching span's
+A pool worker (a validation worker of the daemon, a compute worker of
+a pooled validation run or fuzz campaign) runs each unit of work
+through :meth:`WorkerTelemetry.run`.  With the dispatching span's
 :class:`~repro.obs.trace.TraceContext` it records into a fresh tracer
 whose root span opens from that context, so every span it ships is
 already parented under the dispatcher.  It also ships the metrics
 registry's growth since its last report.  The parent folds both in
 with :func:`absorb` — the one way spans and counts from another process
-enter this one.
+enter this one.  Work submitted before the span that consumes it opens
+ships under :func:`detached_context` and is re-rooted by ``absorb``.
 """
 
 from __future__ import annotations
@@ -63,10 +64,30 @@ class WorkerTelemetry:
         return delta or None
 
 
-def absorb(spans, metrics_delta) -> None:
+def detached_context() -> trace.TraceContext | None:
+    """A placeholder context for work submitted ahead of the span that
+    will consume it (None with tracing off, so the worker records
+    nothing); :func:`absorb` with ``parent`` re-roots the reply."""
+    if trace.active() is None:
+        return None
+    return trace.TraceContext(trace_id=trace.new_id(), span_id=trace.new_id())
+
+
+def absorb(spans, metrics_delta, parent: trace.TraceContext | None = None) -> None:
     """Fold what a worker shipped into this process: spans into the
-    ambient tracer (dropped with tracing off), counts into the registry."""
+    ambient tracer (dropped with tracing off), counts into the registry.
+
+    With ``parent``, the shipped tree moves under that span first: every
+    span joins its trace, and each root (a span whose parent was not
+    shipped) hangs from it.
+    """
     tracer = trace.active()
     if tracer is not None and spans:
+        if parent is not None:
+            shipped = {span["span_id"] for span in spans}
+            for span in spans:
+                span["trace_id"] = parent.trace_id
+                if span["parent_id"] not in shipped:
+                    span["parent_id"] = parent.span_id
         tracer.absorb(spans)
     get_metrics().apply(metrics_delta)

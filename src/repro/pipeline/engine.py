@@ -17,7 +17,10 @@ an LLM stage sized to GPU availability).
 The scheduler owns threading, shutdown and stats; the stages
 (:mod:`repro.pipeline.stages`) own per-file policy; and an optional
 :class:`~repro.cache.bundle.PipelineCache` fronts the compile and
-judge workhorses with content-addressed result reuse.
+judge workhorses with content-addressed result reuse.  Threads share
+one core under the GIL, so :meth:`ValidationPipeline.run` with
+``processes >= 2`` computes compile and execute in a run-scoped
+:class:`~repro.pipeline.pool.ComputePool` instead.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from repro.corpus.generator import TestFile
 from repro.judge.agent import ToolReport
 from repro.judge.llmj import JudgeResult
 from repro.llm.model import DeepSeekCoderSim
+from repro.pipeline.pool import ComputePool, ComputeWorkerCrash
 from repro.pipeline.scheduler import StageScheduler
-from repro.pipeline.stages import CompileStage, ExecuteStage, JudgeStage
+from repro.pipeline.stages import CompileStage, ExecuteStage, JudgeStage, Prefetch
 from repro.pipeline.stats import PipelineStats
 
 
@@ -164,11 +168,40 @@ class ValidationPipeline:
 
     # ------------------------------------------------------------------
 
-    def run(self, files: list[TestFile]) -> PipelineResult:
-        scheduler = StageScheduler(
-            self.stages(), queue_capacity=self.config.queue_capacity
-        )
-        run = scheduler.run(files)
+    def run(self, files: list[TestFile], processes: int = 1) -> PipelineResult:
+        """Validate ``files``; records come back in their order.
+
+        With ``processes >= 2`` and at least two files to compute, every
+        file whose compile is not cached is compiled and executed in a
+        :class:`~repro.pipeline.pool.ComputePool` of up to that many
+        processes, all submitted before any scheduler thread starts; the
+        pool opens on this thread and closes before this returns.  The
+        caches, the judge and routing stay in this process, and files
+        enter the stages as their outcomes arrive.  A dead worker raises
+        :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
+        ``processes=1`` runs everything in-process: the spec a pooled
+        run's verdicts and counts match.
+        """
+        if processes > 1:
+            if self.environment is not None:
+                raise ValueError("a pooled run cannot apply an environment model")
+            prefetch = Prefetch(self.config, self.cache, files)
+            if prefetch.pooled > 1:
+                with ComputePool(min(processes, prefetch.pooled)) as pool:
+                    prefetch.submit(pool)
+                    return self._run(files, prefetch)
+        return self._run(files, None)
+
+    def _run(self, files: list[TestFile], prefetch: Prefetch | None) -> PipelineResult:
+        stages = self.stages()
+        for stage in stages:
+            if isinstance(stage, (CompileStage, ExecuteStage)):
+                stage.prefetch = prefetch
+        scheduler = StageScheduler(stages, queue_capacity=self.config.queue_capacity)
+        run = scheduler.run(files if prefetch is None else prefetch)
+        for error in run.errors:
+            if isinstance(error.error, ComputeWorkerCrash):
+                raise error.error
         run.raise_first("validation pipeline")
 
         # deterministic output order regardless of thread interleaving

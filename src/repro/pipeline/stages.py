@@ -10,19 +10,26 @@ everything else (queues, threads, shutdown, stats).
 The three concrete stages reproduce the paper's §III-C pipeline —
 compile → execute → judge — as declarative routing rules instead of
 bespoke thread loops, and each optionally fronts its workhorse with
-the content-addressed caches from :mod:`repro.cache`.
+the content-addressed caches from :mod:`repro.cache`.  In a pooled run
+(:class:`Prefetch`) the compile and execute workhorses serve outcomes a
+:class:`~repro.pipeline.pool.ComputePool` computed ahead of them.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future, as_completed
 from dataclasses import dataclass
 from typing import Any
 
-from repro.compiler.driver import Compiler
+from repro.cache.keys import compile_key, execute_key
+from repro.compiler.driver import Compiler, CompileResult
 from repro.corpus.generator import TestFile
 from repro.judge.llmj import AgentLLMJ
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
+from repro.obs.remote import detached_context
+from repro.pipeline.pool import ComputePool, ComputeSpec
 from repro.runtime.executor import ExecutionResult, Executor
 
 
@@ -66,6 +73,134 @@ class Stage:
 
 
 @dataclass
+class _Pending:
+    """One file the pool computes for a pooled run."""
+
+    test: TestFile
+    #: its run, found in the execute cache while planning: the worker
+    #: then only compiles
+    held: ExecutionResult | None
+    future: Future | None = None
+    outcome: tuple | None = None  # (CompileResult, {arm: ExecutionResult})
+
+
+class Prefetch:
+    """A pooled run's compile and execute outcomes, computed ahead of
+    the stages.
+
+    Planned on the calling thread before the scheduler starts: every
+    file whose compile result is not cached goes to the pool at once,
+    with the configured backend as its one arm, or with none when the
+    execute cache already holds its run.  Planning peeks at the caches
+    without counting; the stages then make exactly the counted lookups
+    of an in-process run, and on a miss take the pooled outcome instead
+    of computing it.
+    """
+
+    def __init__(self, config, cache, files: list[TestFile]):
+        self.spec = ComputeSpec(
+            "pipeline", config.flavor, config.openmp_max_version, config.step_limit
+        )
+        self.backend = config.execution_backend
+        self._fingerprint = Compiler(
+            model=config.flavor, openmp_max_version=config.openmp_max_version
+        ).fingerprint()
+        self._files = [(test, self._key(test.source, test.name)) for test in files]
+        self._pending: dict[str, _Pending] = {}  # by compile key
+        self._pool: ComputePool | None = None
+        self._lock = threading.Lock()
+        for test, key in self._files:
+            if key in self._pending or (cache is not None and key in cache.compile):
+                continue
+            held = None
+            if cache is not None:
+                held = cache.execute.peek(execute_key(key, config.step_limit))
+            self._pending[key] = _Pending(test, held)
+
+    def __len__(self) -> int:
+        """Files in the run (the scheduler feeds them from :meth:`__iter__`)."""
+        return len(self._files)
+
+    @property
+    def pooled(self) -> int:
+        """Files the pool computes."""
+        return len(self._pending)
+
+    def _key(self, source: str, name: str) -> str:
+        return compile_key(self._fingerprint, name, source)
+
+    def submit(self, pool: ComputePool) -> None:
+        """Queue every pending file; call on the thread that opened ``pool``."""
+        self._pool = pool
+        ctx = detached_context()
+        for pending in self._pending.values():
+            arms = () if pending.held is not None else (self.backend,)
+            pending.future = pool.submit(
+                self.spec, pending.test.name, pending.test.source, arms, ctx
+            )
+
+    def __iter__(self):
+        """The run's files in arrival order: those the pool does not
+        compute first, then each as its outcome lands."""
+        by_future: dict[Future, list[TestFile]] = {}
+        for test, key in self._files:
+            pending = self._pending.get(key)
+            if pending is None:
+                yield test
+            else:
+                by_future.setdefault(pending.future, []).append(test)
+        for future in as_completed(by_future):
+            yield from by_future[future]
+
+    def compiled(self, source: str, name: str) -> CompileResult | None:
+        """The pooled compile of this file (without its unit), or None
+        when the pool did not compute it.  The first read absorbs the
+        worker's telemetry under the calling stage span."""
+        pending = self._pending.get(self._key(source, name))
+        if pending is None:
+            return None
+        with self._lock:
+            if pending.outcome is None:
+                pending.outcome = self._pool.result(
+                    pending.future, self.spec, name, parent=trace.current()
+                )
+        return pending.outcome[0]
+
+    def executed(self, compiled: CompileResult) -> ExecutionResult | None:
+        """The pooled or held run of a pooled compile, else None."""
+        pending = self._pending.get(compiled.content_key)
+        if pending is None or pending.outcome is None:
+            return None
+        if pending.held is not None:
+            return pending.held
+        return pending.outcome[1][self.backend]
+
+
+class _PooledCompiler(Compiler):
+    """Serves a pooled run's compile; compiles files the pool did not."""
+
+    def __init__(self, prefetch: Prefetch, **kwargs):
+        super().__init__(**kwargs)
+        self.prefetch = prefetch
+
+    def compile(self, source: str, filename: str = "<input>") -> CompileResult:
+        pooled = self.prefetch.compiled(source, filename)
+        return pooled if pooled is not None else super().compile(source, filename)
+
+
+class _PooledExecutor(Executor):
+    """Serves a pooled run's execution; runs units the pool did not."""
+
+    def __init__(self, prefetch: Prefetch, **kwargs):
+        super().__init__(**kwargs)
+        self.prefetch = prefetch
+
+    def run(self, compiled: CompileResult) -> ExecutionResult:
+        pooled = self.prefetch.executed(compiled)
+        return pooled if pooled is not None else super().run(compiled)
+
+
+@dataclass
 class PipelineItem:
     """One file's in-flight state between pipeline stages."""
 
@@ -83,6 +218,8 @@ class CompileStage(Stage):
     """
 
     name = "compile"
+    #: set by :meth:`ValidationPipeline.run` for a pooled run
+    prefetch: Prefetch | None = None
 
     def __init__(self, config, environment=None, cache=None):
         self.config = config
@@ -91,9 +228,13 @@ class CompileStage(Stage):
         self.workers = config.compile_workers
 
     def make_worker_state(self):
-        compiler = Compiler(
+        settings = dict(
             model=self.config.flavor,
             openmp_max_version=self.config.openmp_max_version,
+        )
+        compiler = (
+            Compiler(**settings) if self.prefetch is None
+            else _PooledCompiler(self.prefetch, **settings)
         )
         if self.cache is not None:
             from repro.cache.wrappers import CachingCompiler
@@ -128,6 +269,8 @@ class ExecuteStage(Stage):
     """Run one compiled unit; route per early-exit policy."""
 
     name = "execute"
+    #: set by :meth:`ValidationPipeline.run` for a pooled run
+    prefetch: Prefetch | None = None
 
     def __init__(self, config, cache=None):
         self.config = config
@@ -135,9 +278,13 @@ class ExecuteStage(Stage):
         self.workers = config.execute_workers
 
     def make_worker_state(self):
-        executor = Executor(
+        settings = dict(
             step_limit=self.config.step_limit,
             backend=getattr(self.config, "execution_backend", "closure"),
+        )
+        executor = (
+            Executor(**settings) if self.prefetch is None
+            else _PooledExecutor(self.prefetch, **settings)
         )
         if self.cache is not None:
             from repro.cache.wrappers import CachingExecutor

@@ -379,6 +379,7 @@ class ValidationService:
                     model=self.model,
                     cache=self.cache,
                     execution_backend=options.backend,
+                    in_process=True,
                 )
                 self._validators[options] = validator
             return validator
@@ -448,7 +449,9 @@ class ValidationServer(ThreadingHTTPServer):
     allow_reuse_address = True
     request_queue_size = 128
 
-    def __init__(self, address: tuple[str, int], service: ValidationService, quiet: bool = True):
+    def __init__(
+        self, address: tuple[str, int], service: ValidationService | None, quiet: bool = True
+    ):
         self.service = service
         self.quiet = quiet
         super().__init__(address, _Handler)
@@ -470,9 +473,18 @@ def make_server(
     quiet: bool = True,
     **service_knobs,
 ) -> ValidationServer:
-    """Build a ready-to-serve daemon; ``port=0`` picks an ephemeral port."""
-    service = ValidationService(cache=cache, **service_knobs)
-    return ValidationServer((host, port), service, quiet=quiet)
+    """Build a ready-to-serve daemon; ``port=0`` picks an ephemeral port.
+
+    Binds first: a port in use raises ``OSError`` before the service
+    starts a thread, a worker or a job.
+    """
+    server = ValidationServer((host, port), None, quiet=quiet)
+    try:
+        server.service = ValidationService(cache=cache, **service_knobs)
+    except BaseException:
+        server.server_close()
+        raise
+    return server
 
 
 class _Handler(BaseHTTPRequestHandler):

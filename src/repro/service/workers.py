@@ -232,6 +232,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 model=model,
                 cache=cache,
                 execution_backend=options.backend,
+                in_process=True,
             )
             validators[options] = validator
         return validator

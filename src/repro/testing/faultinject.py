@@ -58,12 +58,18 @@ Instrumented points in this repo (grep ``fault_point(`` for the list):
   here is the canonical "worker died mid-batch" scenario: the parent
   must detect the death, respawn, retry once, and still return
   byte-identical verdicts.
-- ``fuzz:worker-compute`` — in a fuzz campaign's differential pool
-  worker, before it compiles and runs a candidate.  ``kill`` here is
-  "fuzz worker killed mid-candidate": the campaign must stop with
-  :class:`~repro.fuzz.differential.DifferentialWorkerCrash`, leave no
-  pool child alive, and resume from its checkpoint to the same digest.
+- ``fuzz:worker-compute`` — in a fuzz campaign's compute pool worker,
+  before it compiles and runs a candidate.  ``kill`` here is "fuzz
+  worker killed mid-candidate": the campaign must stop with
+  :class:`~repro.pipeline.pool.ComputeWorkerCrash`, leave no pool
+  child alive, and resume from its checkpoint to the same digest.
   Hit counts are per worker process.
+- ``pipeline:worker-compute`` — in a pooled validation run's compute
+  pool worker, before it compiles and executes a file.  ``kill`` here
+  is "pipeline worker killed mid-file": ``validate`` must raise
+  :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming a file whose
+  outcome was lost (``llm4vv validate`` exits 3), and leave no pool
+  child alive.  Hit counts are per worker process.
 
 Stdlib-only on purpose: everything else in the package may import this
 module without creating a cycle.

@@ -1,8 +1,13 @@
-"""Shared fixtures: compilers, executors, small cached corpora."""
+"""Shared fixtures: compilers, executors, small cached corpora; and the
+hygiene check every run of this directory ends with."""
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,40 @@ from repro.corpus.suite import TestSuite
 from repro.llm.model import DeepSeekCoderSim
 from repro.probing.prober import NegativeProber
 from repro.runtime.executor import Executor
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+#: threads a ValidationService starts (daemon threads, so only this
+#: check notices one a test forgot to drain)
+SERVICE_THREADS = ("microbatch-", "job-runner")
+
+
+def _leaks() -> list[str]:
+    threads = [
+        f"thread {t.name!r}" for t in threading.enumerate()
+        if t is not threading.main_thread()
+        and (not t.daemon or t.name.startswith(SERVICE_THREADS))
+    ]
+    children = [f"child {p.pid} ({p.name})" for p in multiprocessing.active_children()]
+    return threads + children
+
+
+def pytest_runtest_teardown(item, nextitem):
+    """After the last test of this directory: fail on a leaked service
+    or non-daemon thread, or a live child process.
+
+    A pooled validation run forks; a thread holding a lock at fork time
+    can deadlock the child, and the benchmarks that run next measure
+    whatever is left running.
+    """
+    if nextitem is not None and TESTS_DIR in Path(str(nextitem.fspath)).parents:
+        return
+    deadline = time.monotonic() + 5.0
+    while _leaks() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    leaks = _leaks()
+    if leaks:
+        pytest.fail("tests leaked: " + ", ".join(leaks), pytrace=False)
 
 
 @pytest.fixture(scope="session")

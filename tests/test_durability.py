@@ -35,7 +35,7 @@ from repro.experiments.rundir import (
 )
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.checkpoint import CheckpointError, load_checkpoint
-from repro.fuzz.differential import DifferentialWorkerCrash
+from repro.pipeline.pool import ComputeWorkerCrash
 from repro.testing import faultinject
 from repro.testing.faultinject import FaultError, fault_point, install
 
@@ -274,7 +274,7 @@ class TestDifferentialWorkerKill:
         runner.join(timeout=60)
         assert not runner.is_alive(), "the campaign hung on a dead worker"
         assert time.monotonic() - started < 30
-        assert len(raised) == 1 and isinstance(raised[0], DifferentialWorkerCrash)
+        assert len(raised) == 1 and isinstance(raised[0], ComputeWorkerCrash)
         assert "candidate '" in str(raised[0])
         assert multiprocessing.active_children() == []
 

@@ -760,5 +760,5 @@ class TestServiceFuzzMetrics:
             assert "fuzz_campaigns_total 1" in lines
             assert f"fuzz_executions_total {result.stats.executions}" in lines
         finally:
-            server.shutdown()
+            server.drain_and_shutdown()
             server.server_close()

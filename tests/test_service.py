@@ -875,4 +875,5 @@ class TestServeBindErrors:
             assert rc == 2
             assert "cannot bind" in capsys.readouterr().err
         finally:
+            blocker.service.drain(timeout=10.0)
             blocker.server_close()
