@@ -32,15 +32,18 @@ class CachingCompiler:
     executions of one unit — worker scaling, ablations, Part-Two
     re-judging — skip both parsing *and* lowering.
 
-    Only results the execute stage can use are stored: a failed compile,
-    or a success that carries its unit.  A pool worker keeps its AST
-    (``repro.pipeline.pool``), so its successful compiles are served to
-    the run that asked but never cached.
+    A pool worker keeps its AST (``repro.pipeline.pool``), so a
+    successful compile it computed is stored without its unit.  Such a
+    hit comes back as stored only with ``unitless_hits=True``, for a
+    caller that compiles again when it must run the unit (the
+    pipeline's execute stage, on an execute-cache miss); any other
+    caller gets it compiled again, unit and all, and the entry replaced.
     """
 
-    def __init__(self, inner: Compiler, cache: ResultCache):
+    def __init__(self, inner: Compiler, cache: ResultCache, unitless_hits: bool = False):
         self.inner = inner
         self.cache = cache
+        self.unitless_hits = unitless_hits
 
     @property
     def model(self) -> str:
@@ -49,10 +52,11 @@ class CachingCompiler:
     def compile(self, source: str, filename: str = "<input>") -> CompileResult:
         key = compile_key(self.inner.fingerprint(), filename, source)
         result = self.cache.get(key)
-        if result is None:
+        if result is None or (
+            result.ok and result.unit is None and not self.unitless_hits
+        ):
             result = self.inner.compile(source, filename)
-            if result.unit is not None or not result.ok:
-                self.cache.put(key, result)
+            self.cache.put(key, result)
         return result
 
 

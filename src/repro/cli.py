@@ -126,8 +126,8 @@ def _main(argv: list[str] | None = None) -> int:
     p_validate.add_argument(
         "--workers", type=positive_int, default=2,
         help="compile and execute each run's files in this many worker "
-             "processes (default 2); 1 validates in-process, the spec "
-             "pooled verdicts match",
+             "processes (default 2) when at least 24 need computing; 1 "
+             "validates in-process, the spec pooled verdicts match",
     )
     p_validate.add_argument(
         "--trace-out", default=None, metavar="FILE",

@@ -223,7 +223,10 @@ class DifferentialRunner:
         self.cache = cache
         self.pool = pool
         self.arms = tuple(arms) if arms is not None else EXECUTION_BACKENDS
-        self.spec = ComputeSpec("fuzz", model, openmp_max_version, step_limit)
+        self.spec = ComputeSpec(
+            "differential", "candidate", "fuzz:worker-compute",
+            model, openmp_max_version, step_limit,
+        )
         unknown = [arm for arm in self.arms if arm not in EXECUTION_BACKENDS]
         if unknown:
             raise ValueError(

@@ -73,13 +73,18 @@ def detached_context() -> trace.TraceContext | None:
     return trace.TraceContext(trace_id=trace.new_id(), span_id=trace.new_id())
 
 
-def absorb(spans, metrics_delta, parent: trace.TraceContext | None = None) -> None:
+def absorb(spans, metrics_delta, parent: trace.SpanRecord | None = None) -> None:
     """Fold what a worker shipped into this process: spans into the
     ambient tracer (dropped with tracing off), counts into the registry.
 
-    With ``parent``, the shipped tree moves under that span first: every
-    span joins its trace, and each root (a span whose parent was not
-    shipped) hangs from it.
+    With ``parent`` (the open span that consumes the work), the shipped
+    tree moves under it first: every span joins its trace, and each
+    root (a span whose parent was not shipped) hangs from it.  A root
+    that began before ``parent`` opened (the work was submitted ahead of
+    it) is clipped to start there (to zero length if it also ended
+    before), so the parent's self time (its duration less its
+    children's) is the time it spent outside the worker's and never
+    negative; the spans below the root keep their times.
     """
     tracer = trace.active()
     if tracer is not None and spans:
@@ -89,5 +94,7 @@ def absorb(spans, metrics_delta, parent: trace.TraceContext | None = None) -> No
                 span["trace_id"] = parent.trace_id
                 if span["parent_id"] not in shipped:
                     span["parent_id"] = parent.span_id
+                    span["start"] = max(span["start"], parent.start)
+                    span["end"] = max(span["end"], span["start"])
         tracer.absorb(spans)
     get_metrics().apply(metrics_delta)

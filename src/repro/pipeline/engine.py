@@ -36,6 +36,13 @@ from repro.pipeline.scheduler import StageScheduler
 from repro.pipeline.stages import CompileStage, ExecuteStage, JudgeStage, Prefetch
 from repro.pipeline.stats import PipelineStats
 
+#: the fewest files to compute that open a pool (``ValidationPipeline.run``):
+#: below it, starting the workers costs more than the threads lose.  On
+#: 2 cores a ``validate`` CLI process breaks even at 20-24 files (its
+#: pool also pays the imports and first-use costs a warm process has
+#: behind it) and a warm library process at 8.
+MIN_POOLED_FILES = 24
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -171,10 +178,11 @@ class ValidationPipeline:
     def run(self, files: list[TestFile], processes: int = 1) -> PipelineResult:
         """Validate ``files``; records come back in their order.
 
-        With ``processes >= 2`` and at least two files to compute, every
-        file whose compile is not cached is compiled and executed in a
-        :class:`~repro.pipeline.pool.ComputePool` of up to that many
-        processes, all submitted before any scheduler thread starts; the
+        With ``processes >= 2`` and at least :data:`MIN_POOLED_FILES`
+        files to compute, every file the stages would compile or execute
+        is computed in a :class:`~repro.pipeline.pool.ComputePool` of up
+        to that many processes, all submitted before any scheduler
+        thread starts (see :class:`~repro.pipeline.stages.Prefetch`); the
         pool opens on this thread and closes before this returns.  The
         caches, the judge and routing stay in this process, and files
         enter the stages as their outcomes arrive.  A dead worker raises
@@ -186,7 +194,7 @@ class ValidationPipeline:
             if self.environment is not None:
                 raise ValueError("a pooled run cannot apply an environment model")
             prefetch = Prefetch(self.config, self.cache, files)
-            if prefetch.pooled > 1:
+            if prefetch.pooled >= MIN_POOLED_FILES:
                 with ComputePool(min(processes, prefetch.pooled)) as pool:
                     prefetch.submit(pool)
                     return self._run(files, prefetch)

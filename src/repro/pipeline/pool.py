@@ -38,20 +38,18 @@ from repro.runtime.executor import Executor
 from repro.testing import faultinject
 from repro.testing.faultinject import fault_point
 
-#: per user: (the worker's name in spans and crash messages, the unit's noun)
-_USERS = {"pipeline": ("pipeline", "file"), "fuzz": ("differential", "candidate")}
-
-
 @dataclass(frozen=True)
 class ComputeSpec:
-    """Who submits a task, and the toolchain it computes with.
+    """How a user names its tasks, and the toolchain they compute with.
 
-    ``user`` (``'pipeline'`` or ``'fuzz'``) names the worker's span
-    (``worker.pipeline`` / ``worker.differential``), its fault point
-    (``<user>:worker-compute``) and its crash message.
+    ``worker`` names the worker's root span (``worker.<worker>``) and
+    its crash message, ``noun`` what one task computes (``'file'``,
+    ``'candidate'``), and ``fault_point`` the point a task passes first.
     """
 
-    user: str
+    worker: str
+    noun: str
+    fault_point: str
     model: str
     openmp_max_version: float
     step_limit: int
@@ -121,19 +119,20 @@ class ComputePool:
 
     def result(
         self, future: Future, spec: ComputeSpec, name: str,
-        parent: trace.TraceContext | None = None,
+        parent: trace.SpanRecord | None = None,
     ) -> tuple[CompileResult, dict]:
         """``(compiled, results)`` of a submitted task, its telemetry
-        absorbed here (re-rooted under ``parent`` when given).  Read
-        each future once: a second read would absorb its counts twice."""
+        absorbed here (re-rooted under the open span ``parent`` when
+        given).  Read each future once: a second read would absorb its
+        counts twice."""
         from concurrent.futures.process import BrokenProcessPool
 
         try:
             compiled, results, spans, metrics_delta = future.result()
         except BrokenProcessPool as exc:
-            worker, unit = _USERS[spec.user]
             raise ComputeWorkerCrash(
-                f"a {worker} worker process died while computing {unit} {name!r}"
+                f"a {spec.worker} worker process died while computing"
+                f" {spec.noun} {name!r}"
             ) from exc
         absorb(spans, metrics_delta, parent=parent)
         return compiled, results
@@ -201,12 +200,11 @@ def compute(
     when the compile failed), and the spans parented under
     ``trace_ctx``.
     """
-    fault_point(f"{spec.user}:worker-compute")
+    fault_point(spec.fault_point)
     compiler = Compiler(model=spec.model, openmp_max_version=spec.openmp_max_version)
     executors = {arm: Executor(step_limit=spec.step_limit, backend=arm) for arm in arms}
-    worker, _ = _USERS[spec.user]
     (compiled, results), spans, metrics_delta = _worker_telemetry.run(
-        trace_ctx, f"worker.{worker}",
+        trace_ctx, f"worker.{spec.worker}",
         lambda: compile_and_run(compiler, executors, source, name),
         file=name,
     )

@@ -89,7 +89,7 @@ class Prefetch:
     the stages.
 
     Planned on the calling thread before the scheduler starts: every
-    file whose compile result is not cached goes to the pool at once,
+    file the stages would compile or execute goes to the pool at once,
     with the configured backend as its one arm, or with none when the
     execute cache already holds its run.  Planning peeks at the caches
     without counting; the stages then make exactly the counted lookups
@@ -99,7 +99,8 @@ class Prefetch:
 
     def __init__(self, config, cache, files: list[TestFile]):
         self.spec = ComputeSpec(
-            "pipeline", config.flavor, config.openmp_max_version, config.step_limit
+            "pipeline", "file", "pipeline:worker-compute",
+            config.flavor, config.openmp_max_version, config.step_limit,
         )
         self.backend = config.execution_backend
         self._fingerprint = Compiler(
@@ -110,12 +111,16 @@ class Prefetch:
         self._pool: ComputePool | None = None
         self._lock = threading.Lock()
         for test, key in self._files:
-            if key in self._pending or (cache is not None and key in cache.compile):
+            if key in self._pending:
                 continue
-            held = None
+            compiled = held = None
             if cache is not None:
+                compiled = cache.compile.peek(key)
                 held = cache.execute.peek(execute_key(key, config.step_limit))
-            self._pending[key] = _Pending(test, held)
+            if compiled is None or (compiled.ok and compiled.unit is None and held is None):
+                # not compiled yet, or compiled by an earlier run's pool
+                # (which kept the unit) and not run under this step limit
+                self._pending[key] = _Pending(test, held)
 
     def __len__(self) -> int:
         """Files in the run (the scheduler feeds them from :meth:`__iter__`)."""
@@ -152,28 +157,31 @@ class Prefetch:
         for future in as_completed(by_future):
             yield from by_future[future]
 
-    def compiled(self, source: str, name: str) -> CompileResult | None:
-        """The pooled compile of this file (without its unit), or None
-        when the pool did not compute it.  The first read absorbs the
-        worker's telemetry under the calling stage span."""
-        pending = self._pending.get(self._key(source, name))
-        if pending is None:
-            return None
+    def _outcome(self, pending: _Pending) -> tuple:
+        """The pooled outcome; the first read absorbs the worker's
+        telemetry under the calling stage span."""
         with self._lock:
             if pending.outcome is None:
                 pending.outcome = self._pool.result(
-                    pending.future, self.spec, name, parent=trace.current()
+                    pending.future, self.spec, pending.test.name,
+                    parent=trace.current_span(),
                 )
-        return pending.outcome[0]
+        return pending.outcome
+
+    def compiled(self, source: str, name: str) -> CompileResult | None:
+        """The pooled compile of this file (without its unit), or None
+        when the pool did not compute it."""
+        pending = self._pending.get(self._key(source, name))
+        return None if pending is None else self._outcome(pending)[0]
 
     def executed(self, compiled: CompileResult) -> ExecutionResult | None:
-        """The pooled or held run of a pooled compile, else None."""
+        """The pooled or held run of a pooled file, else None."""
         pending = self._pending.get(compiled.content_key)
-        if pending is None or pending.outcome is None:
+        if pending is None:
             return None
         if pending.held is not None:
             return pending.held
-        return pending.outcome[1][self.backend]
+        return self._outcome(pending)[1][self.backend]
 
 
 class _PooledCompiler(Compiler):
@@ -188,16 +196,34 @@ class _PooledCompiler(Compiler):
         return pooled if pooled is not None else super().compile(source, filename)
 
 
-class _PooledExecutor(Executor):
-    """Serves a pooled run's execution; runs units the pool did not."""
+class _StageExecutor:
+    """The execute stage's workhorse.
 
-    def __init__(self, prefetch: Prefetch, **kwargs):
-        super().__init__(**kwargs)
+    In a pooled run it serves the run the pool computed.  Otherwise it
+    runs the unit, compiling it again first when the compile came from
+    a pool worker, which kept the unit: a compile-cache entry left by a
+    pooled run, whose run is not cached (another step limit, say).
+    """
+
+    def __init__(self, config, prefetch: Prefetch | None):
+        self.config = config
         self.prefetch = prefetch
+        self.executor = Executor(
+            step_limit=config.step_limit,
+            backend=getattr(config, "execution_backend", "closure"),
+        )
 
-    def run(self, compiled: CompileResult) -> ExecutionResult:
-        pooled = self.prefetch.executed(compiled)
-        return pooled if pooled is not None else super().run(compiled)
+    def run(self, compiled: CompileResult, test: TestFile) -> ExecutionResult:
+        if self.prefetch is not None:
+            pooled = self.prefetch.executed(compiled)
+            if pooled is not None:
+                return pooled
+        if compiled.ok and compiled.unit is None:
+            compiled = Compiler(
+                model=self.config.flavor,
+                openmp_max_version=self.config.openmp_max_version,
+            ).compile(test.source, test.name)
+        return self.executor.run(compiled)
 
 
 @dataclass
@@ -239,7 +265,8 @@ class CompileStage(Stage):
         if self.cache is not None:
             from repro.cache.wrappers import CachingCompiler
 
-            return CachingCompiler(compiler, self.cache.compile)
+            # the execute stage rebuilds a unit a pool worker kept
+            return CachingCompiler(compiler, self.cache.compile, unitless_hits=True)
         return compiler
 
     def process(self, payload: TestFile, compiler) -> StageOutcome:
@@ -278,26 +305,23 @@ class ExecuteStage(Stage):
         self.workers = config.execute_workers
 
     def make_worker_state(self):
-        settings = dict(
-            step_limit=self.config.step_limit,
-            backend=getattr(self.config, "execution_backend", "closure"),
-        )
-        executor = (
-            Executor(**settings) if self.prefetch is None
-            else _PooledExecutor(self.prefetch, **settings)
-        )
-        if self.cache is not None:
-            from repro.cache.wrappers import CachingExecutor
-
-            return CachingExecutor(executor, self.cache.execute)
-        return executor
+        return _StageExecutor(self.config, self.prefetch)
 
     def process(self, payload: PipelineItem, executor) -> StageOutcome:
         record = payload.record
         trace.annotate(
             backend=getattr(self.config, "execution_backend", "closure")
         )
-        executed: ExecutionResult = executor.run(payload.compiled)
+        compiled = payload.compiled
+
+        def run() -> ExecutionResult:
+            return executor.run(compiled, record.test)
+
+        if self.cache is not None and compiled.content_key:
+            key = execute_key(compiled.content_key, self.config.step_limit)
+            executed = self.cache.execute.get_or_compute(key, run)
+        else:
+            executed = run()
         record.run_rc = executed.returncode
         record.run_stderr = executed.stderr
         record.run_stdout = executed.stdout

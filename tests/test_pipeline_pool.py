@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.bundle import PipelineCache
+from repro.cache.wrappers import CachingCompiler
 from repro.cache.keys import compile_key
 from repro.compiler.driver import Compiler
 from repro.core.validator import TestsuiteValidator
@@ -32,6 +33,7 @@ from repro.corpus.suite import TestSuite
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import Tracer, installed
 from repro.pipeline import engine
+from repro.pipeline.engine import PipelineConfig, ValidationPipeline
 from repro.pipeline.pool import ComputeWorkerCrash
 from repro.probing.prober import NegativeProber
 from repro.service.protocol import ValidateOptions, ValidateRequest, encode_verdict
@@ -125,15 +127,6 @@ class TestPooledCache:
         for flavor, files in corpus.items():
             TestsuiteValidator(flavor=flavor, cache=caches[flavor]).validate(files)
 
-        for flavor, files in corpus.items():
-            fingerprint = Compiler(model=flavor).fingerprint()
-            for test in files:
-                entry = caches[flavor].compile.peek(
-                    compile_key(fingerprint, test.name, test.source)
-                )
-                # a compile the execute stage would run must carry its unit
-                assert entry is None or not entry.ok or entry.unit is not None
-
         baseline = get_metrics().export_state()
         served = {}
         for flavor, files in corpus.items():
@@ -145,16 +138,105 @@ class TestPooledCache:
             )
         delta = get_metrics().diff(baseline)[0]
         assert served == reference
-        lookups = {
-            (dict(labels)["namespace"], dict(labels)["result"]): value
-            for (kind, name, labels), value in delta.items()
-            if name == "cache_lookups_total"
-        }
+        lookups = _lookups(delta)
         # the pooled run stored every execution and verdict it computed
         assert ("execute", "miss") not in lookups and ("judge", "miss") not in lookups
         judged = sum(1 for v in reference.values() if json.loads(v)["stage"] == "judge")
         assert lookups[("execute", "hit")] >= judged > 0
         assert lookups[("judge", "hit")] == judged
+
+    def test_a_repeated_pooled_run_is_served_from_the_cache(
+        self, corpus, reference, monkeypatch
+    ):
+        cache = PipelineCache()
+        files = corpus["acc"]
+        TestsuiteValidator(flavor="acc", cache=cache).validate(files)
+
+        refuse_pools(monkeypatch)
+        baseline = get_metrics().export_state()
+        report = TestsuiteValidator(flavor="acc", cache=cache).validate(files)
+        lookups = _lookups(get_metrics().diff(baseline)[0])
+        assert {j.name: json.dumps(encode_verdict(j), sort_keys=True)
+                for j in report.files} == {t.name: reference[t.name] for t in files}
+        assert lookups[("compile", "hit")] == len(files)
+        assert not any(result == "miss" for _, result in lookups)
+
+    def test_a_unitless_compile_entry_is_compiled_again_before_it_runs(self, corpus):
+        """A pooled fill stores successful compiles without their unit
+        (the worker kept it).  A run under another step limit misses
+        the execute cache on them and must run the real program, and a
+        caller outside the pipeline must get the unit back."""
+        files = corpus["acc"]
+        cache = PipelineCache()
+        ValidationPipeline(PipelineConfig(flavor="acc"), cache=cache).run(
+            files, processes=2
+        )
+        fingerprint = Compiler(model="acc").fingerprint()
+        keys = [compile_key(fingerprint, t.name, t.source) for t in files]
+        unitless = [k for k in keys if cache.compile.peek(k).ok
+                    and cache.compile.peek(k).unit is None]
+        assert unitless, "the pooled fill left no unit-less entry to test"
+
+        config = PipelineConfig(flavor="acc", step_limit=2_999_999)
+        expected = ValidationPipeline(config).run(files)
+        served = ValidationPipeline(config, cache=cache).run(files)
+        assert [_record_facts(r) for r in served.records] == [
+            _record_facts(r) for r in expected.records
+        ]
+
+        test = next(t for t, k in zip(files, keys) if k == unitless[0])
+        rebuilt = CachingCompiler(Compiler(model="acc"), cache.compile).compile(
+            test.source, test.name
+        )
+        assert rebuilt.unit is not None
+        assert cache.compile.peek(unitless[0]).unit is not None
+
+
+def _record_facts(record) -> tuple:
+    return (
+        record.test.name, record.compile_rc, record.run_rc, record.run_stdout,
+        record.run_stderr, record.judge_says_valid,
+    )
+
+
+def _lookups(delta: dict) -> dict:
+    return {
+        (dict(labels)["namespace"], dict(labels)["result"]): value
+        for (kind, name, labels), value in delta.items()
+        if name == "cache_lookups_total"
+    }
+
+
+def refuse_pools(monkeypatch) -> list:
+    """Make opening a compute pool fail the test; returns the attempts."""
+    opened = []
+
+    class Refused:
+        def __init__(self, workers):
+            opened.append(workers)
+            raise AssertionError("a compute pool was opened")
+
+    monkeypatch.setattr(engine, "ComputePool", Refused)
+    return opened
+
+
+class TestSmallRuns:
+    def test_a_run_below_the_cutoff_stays_in_process(
+        self, corpus, reference, monkeypatch
+    ):
+        files = corpus["acc"][: engine.MIN_POOLED_FILES - 1]
+        refuse_pools(monkeypatch)
+        report = TestsuiteValidator(flavor="acc").validate(files)
+        assert [json.dumps(encode_verdict(j), sort_keys=True) for j in report.files] == [
+            reference[t.name] for t in files
+        ]
+
+    def test_a_run_at_the_cutoff_opens_the_pool(self, corpus, monkeypatch):
+        files = corpus["acc"][: engine.MIN_POOLED_FILES]
+        opened = refuse_pools(monkeypatch)
+        with pytest.raises(AssertionError, match="compute pool was opened"):
+            TestsuiteValidator(flavor="acc", workers=4).validate(files)
+        assert opened == [4]
 
 
 class TestPooledTracing:
@@ -175,6 +257,9 @@ class TestPooledTracing:
             parent = stages[span.parent_id]
             assert span.trace_id == parent.trace_id
             assert span.attrs["file"] == parent.attrs["file"]
+            # submitted before the stage span opened: clipped to it, so
+            # the stage's self time is never driven negative
+            assert parent.start <= span.start <= span.end <= parent.end
 
 
 class TestPooledSharedOutcomes:
@@ -182,7 +267,7 @@ class TestPooledSharedOutcomes:
         """Four compile threads over a run where every file appears
         twice: both twins read one pooled outcome, and its telemetry is
         absorbed exactly once."""
-        files = corpus["acc"][:12] * 2
+        files = corpus["acc"][: engine.MIN_POOLED_FILES] * 2
         expected = TestsuiteValidator(flavor="acc", workers=1).validate(files)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -196,7 +281,7 @@ class TestPooledSharedOutcomes:
             encode_verdict(j) for j in expected.files
         ]
         remote = [s for s in tracer.spans if s.name == "worker.pipeline"]
-        assert len(remote) == 12
+        assert len(remote) == engine.MIN_POOLED_FILES
         assert multiprocessing.active_children() == []
 
 
@@ -245,7 +330,7 @@ def _live_processes_mentioning(needle: str) -> list[int]:
 def _write_sources(corpus, directory: Path) -> list[str]:
     directory.mkdir()
     paths = []
-    for test in corpus["acc"][:12]:
+    for test in corpus["acc"][: engine.MIN_POOLED_FILES]:
         path = directory / test.name
         path.write_text(test.source)
         paths.append(str(path))
@@ -315,19 +400,11 @@ class TestDaemonStaysInProcess:
 
     @pytest.fixture()
     def no_pool(self, monkeypatch):
-        opened = []
-
-        class Refused:
-            def __init__(self, workers):
-                opened.append(workers)
-                raise AssertionError("the daemon opened a compute pool")
-
-        monkeypatch.setattr(engine, "ComputePool", Refused)
-        return opened
+        return refuse_pools(monkeypatch)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_served_cold_batch_opens_no_pool(self, corpus, reference, no_pool, workers):
-        files = corpus["acc"][:8]
+        files = corpus["acc"][: engine.MIN_POOLED_FILES]
         options = ValidateOptions(
             flavor="acc", judge="direct", early_exit=True, backend="closure"
         )
