@@ -39,8 +39,6 @@ SERVER_KNOBS = dict(
     max_batch_size=8,
     max_latency=0.002,
     queue_capacity=128,
-    threads=2,
-    judge_workers=2,
 )
 
 ATTEMPTS = 3

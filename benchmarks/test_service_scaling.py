@@ -44,8 +44,6 @@ SERVER_KNOBS = dict(
     max_batch_size=4,
     max_latency=0.01,
     queue_capacity=128,
-    threads=2,
-    judge_workers=2,
 )
 
 CLIENT_THREADS = 16

@@ -32,13 +32,11 @@ from repro.service.protocol import encode_verdict
 from repro.service.server import make_server
 
 #: Same knobs for both phases so the comparison isolates *concurrency*,
-#: not configuration: a short batch window and modest worker pools.
+#: not configuration: a short batch window and a roomy admission queue.
 SERVER_KNOBS = dict(
     max_batch_size=8,
     max_latency=0.01,
     queue_capacity=128,
-    threads=2,
-    judge_workers=2,
 )
 
 

@@ -34,7 +34,7 @@ def test_table4_pipeline_openacc(benchmark, exp, bench_population, emit_artifact
     sample = bench_population[:12]
     model = DeepSeekCoderSim(seed=1)
     pipeline = ValidationPipeline(
-        PipelineConfig(flavor="acc", early_exit=False, judge_workers=2), model=model
+        PipelineConfig(flavor="acc", early_exit=False), model=model
     )
 
     def run_pipeline():

@@ -28,9 +28,6 @@ def run_pipeline(files, early_exit: bool):
         flavor="omp",
         judge_kind="direct",
         early_exit=early_exit,
-        compile_workers=2,
-        execute_workers=2,
-        judge_workers=1,
     )
     pipeline = ValidationPipeline(config, model=DeepSeekCoderSim(seed=5))
     return pipeline.run(files)

@@ -6,8 +6,9 @@ Layering (see ``ARCHITECTURE.md``):
   configuration fingerprints;
 * :mod:`repro.cache.store` — thread-safe LRU :class:`ResultCache` with
   optional JSON disk persistence per namespace;
-* :mod:`repro.cache.wrappers` — drop-in caching fronts for
-  ``Compiler`` / ``Executor`` / the LLM judges;
+* :mod:`repro.cache.wrappers` — drop-in caching fronts for the LLM
+  judges (the pipeline's chain does its own compile and execute
+  lookups);
 * :mod:`repro.cache.bundle` — :class:`PipelineCache`, the per-run
   bundle shared by generation, pipeline stages and experiments.
 
@@ -23,8 +24,6 @@ from repro.cache.store import Codec, ResultCache
 
 _LAZY = {
     "PipelineCache": ("repro.cache.bundle", "PipelineCache"),
-    "CachingCompiler": ("repro.cache.wrappers", "CachingCompiler"),
-    "CachingExecutor": ("repro.cache.wrappers", "CachingExecutor"),
     "CachingAgentJudge": ("repro.cache.wrappers", "CachingAgentJudge"),
     "CachingDirectJudge": ("repro.cache.wrappers", "CachingDirectJudge"),
 }

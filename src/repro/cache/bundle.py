@@ -3,14 +3,15 @@
 :class:`PipelineCache` groups one :class:`ResultCache` per cacheable
 stage kind:
 
-* ``compile`` — memory-only (values carry live AST objects);
+* ``compile`` — memory-only, entries without their AST (see
+  :func:`repro.pipeline.engine.compile_file`);
 * ``execute`` — persistent (plain :class:`ExecutionResult` data);
 * ``judge``  — persistent (:class:`JudgeResult` round-trips via JSON);
 * ``fuzz``   — persistent (differential walk+closure outcomes, stored
   as plain JSON dicts by the fuzzing campaign engine).
 
 One bundle is shared by every consumer of a run — corpus generation,
-the validation pipeline's stages, the experiment runner's retroactive
+the validation pipeline's chain, the experiment runner's retroactive
 judge pass — so repeated work de-duplicates across all of them, and
 across :class:`Experiments` instances when callers share the bundle.
 """

@@ -5,8 +5,7 @@ content-addressed keys (see :mod:`repro.cache.keys`).  Namespaces whose
 values round-trip through JSON can attach a :class:`Codec`, which
 enables :meth:`save_to` / :meth:`load_from` — the on-disk warm-start
 path used by the CLI's ``--cache-dir``.  Namespaces without a codec
-(the compile cache, whose values carry live AST objects) stay
-memory-only.
+(the compile cache) stay memory-only.
 """
 
 from __future__ import annotations

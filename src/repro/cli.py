@@ -125,9 +125,9 @@ def _main(argv: list[str] | None = None) -> int:
     p_validate.add_argument("--no-early-exit", action="store_true")
     p_validate.add_argument(
         "--workers", type=positive_int, default=2,
-        help="compile and execute each run's files in this many worker "
-             "processes (default 2) when at least 24 need computing; 1 "
-             "validates in-process, the spec pooled verdicts match",
+        help="worker processes; 1 = in-process (the spec pooled verdicts "
+             "match); with N >= 2 a run of at least 24 files to compute "
+             "validates each file in one of N processes (default 2)",
     )
     p_validate.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -204,14 +204,6 @@ def _main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=0, metavar="N",
         help="pre-forked validation worker processes; micro-batches fan "
              "out across them (0 = validate in-process, the default)",
-    )
-    p_serve.add_argument(
-        "--threads", type=positive_int, default=2,
-        help="compile/execute worker threads per pipeline (per process)",
-    )
-    p_serve.add_argument(
-        "--judge-workers", type=positive_int, default=1,
-        help="judge worker threads per pipeline",
     )
     p_serve.add_argument("--model-seed", type=int, default=20240822)
     p_serve.add_argument(
@@ -695,8 +687,6 @@ def _bind_server(args: argparse.Namespace, cache):
         quiet=not args.verbose,
         model_seed=args.model_seed,
         workers=args.workers,
-        threads=args.threads,
-        judge_workers=args.judge_workers,
         max_batch_size=args.max_batch,
         max_latency=args.max_latency_ms / 1000.0,
         queue_capacity=args.queue_capacity,

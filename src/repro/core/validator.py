@@ -91,20 +91,24 @@ class TestsuiteValidator:
         Skip the (expensive) judge for files that already failed
         compile or execute.  On by default, as in §III-C.
     workers:
-        With 2 or more, each :meth:`validate` call compiles and
-        executes its files in a process pool of up to that many
-        workers, open for the call (see
-        :meth:`ValidationPipeline.run
+        With 2 or more, each :meth:`validate` call runs its files'
+        chains in a process pool of up to that many workers, open for
+        the call (see :meth:`ValidationPipeline.run
         <repro.pipeline.engine.ValidationPipeline.run>`); ``1`` runs
-        everything in-process, the spec pooled verdicts match.  Also
-        the compile and execute stages' thread counts.
+        everything in-process, the spec pooled verdicts match.  Callers
+        that already parallelise across processes, such as the daemon,
+        pass 1.
+    judge_workers:
+        Accepted for compatibility; it has no effect.
+    model:
+        The judge's model (default: a simulator seeded with
+        ``model_seed``).  A pooled run rebuilds a plain
+        :class:`DeepSeekCoderSim` in each worker from its seed and
+        context size, and counts the workers' calls into
+        ``model.stats``; any other model keeps the run in-process.
     cache:
         Optional :class:`repro.cache.bundle.PipelineCache`; repeated
         validations of unchanged sources reuse compile/run/judge work.
-    in_process:
-        Never open a process pool; ``workers`` then sizes the stage
-        threads only.  For callers that already parallelise across
-        processes, such as the daemon and its pool workers.
     """
 
     __test__ = False
@@ -121,21 +125,17 @@ class TestsuiteValidator:
         model: DeepSeekCoderSim | None = None,
         cache=None,
         execution_backend: str = "closure",
-        in_process: bool = False,
     ):
         self.config = PipelineConfig(
             flavor=flavor,
             judge_kind=judge_kind,
             early_exit=early_exit,
-            compile_workers=workers,
-            execute_workers=workers,
-            judge_workers=judge_workers,
             execution_backend=execution_backend,
             model_seed=model_seed,
             openmp_max_version=openmp_max_version,
         )
         self.pipeline = ValidationPipeline(self.config, model=model, cache=cache)
-        self.processes = 1 if in_process else workers
+        self.processes = workers
 
     # ------------------------------------------------------------------
 

@@ -97,11 +97,6 @@ class CorpusGenerator:
         rng.shuffle(pool)
         compiler = Compiler(model=model, openmp_max_version=self.openmp_max_version)
         executor = Executor(step_limit=self.step_limit, backend=self.execution_backend)
-        if self.cache is not None:
-            from repro.cache.wrappers import CachingCompiler, CachingExecutor
-
-            compiler = CachingCompiler(compiler, self.cache.compile)
-            executor = CachingExecutor(executor, self.cache.execute)
         out: list[TestFile] = []
         attempts = 0
         idx = 0
@@ -131,14 +126,20 @@ class CorpusGenerator:
         return out
 
     def _check(self, test: TestFile, compiler: Compiler, executor: Executor) -> bool:
-        compiled = compiler.compile(test.source, test.name)
+        """Compile and run ``test``, through the cache the way the
+        validation pipeline's chain does (the engine imports this module,
+        hence the local import)."""
+        from repro.pipeline.engine import cached, compile_file, execute_file, uncached
+
+        lookup = uncached if self.cache is None else cached(self.cache)
+        compiled = compile_file(compiler, test, lookup)
         if not compiled.ok:
             self._validation_failures.append(
                 f"{test.name}: compile rc={compiled.returncode}: "
                 + compiled.stderr.splitlines()[0] if compiled.stderr else ""
             )
             return False
-        result = executor.run(compiled)
+        result = execute_file(compiler, executor, test, compiled, lookup)
         if not result.ok:
             self._validation_failures.append(
                 f"{test.name}: run rc={result.returncode}: {result.stderr.strip()[:80]}"

@@ -44,9 +44,6 @@ class ExperimentConfig:
     #: is the fast default, "walk" the executable spec, "codegen" the
     #: generated-code backend)
     execution_backend: str = "closure"
-    compile_workers: int = 2
-    execute_workers: int = 2
-    judge_workers: int = 2
     #: content-addressed result caching (see repro.cache): reuses
     #: compile/execute/judge artifacts within and across runs
     cache_enabled: bool = True

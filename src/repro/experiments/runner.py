@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.cache.bundle import PipelineCache
-from repro.cache.wrappers import CachingDirectJudge
+from repro.cache.wrappers import CachingAgentJudge, CachingDirectJudge
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.suite import TestSuite
 from repro.experiments import paperdata
@@ -34,7 +34,7 @@ from repro.experiments.config import (
     ExperimentConfig,
 )
 from repro.experiments.environment import EnvironmentModel
-from repro.judge.llmj import DirectLLMJ
+from repro.judge.llmj import AgentLLMJ, DirectLLMJ
 from repro.llm.model import DeepSeekCoderSim
 from repro.metrics.accuracy import EvaluationSet, MetricsReport
 from repro.metrics.radar import RadarSeries, radar_series
@@ -43,9 +43,10 @@ from repro.metrics.tables import (
     render_issue_table,
     render_overall_table,
 )
-from repro.pipeline.engine import PipelineConfig, PipelineResult, ValidationPipeline
-from repro.pipeline.scheduler import run_stage
-from repro.pipeline.stages import BatchJudgeStage, JudgeTask
+from repro.pipeline.engine import (
+    PipelineConfig, PipelineResult, ValidationPipeline, count_stage,
+)
+from repro.pipeline.stats import StageCounters, counted_run
 from repro.probing.prober import NegativeProber, ProbingSuite
 
 
@@ -218,9 +219,6 @@ class Experiments:
                 flavor=flavor,
                 judge_kind="direct",
                 early_exit=False,  # record-all, per the paper's protocol
-                compile_workers=self.config.compile_workers,
-                execute_workers=self.config.execute_workers,
-                judge_workers=self.config.judge_workers,
                 openmp_max_version=self.config.openmp_max_version,
                 step_limit=self.config.step_limit,
                 model_seed=self.config.model_seed,
@@ -233,29 +231,29 @@ class Experiments:
         files = list(population)
         result = pipeline.run(files)
 
-        # Retroactive LLMJ-2 pass, batched through the generic scheduler
-        # (a judge worker pool instead of a serial loop).
-        tasks = [
-            JudgeTask(index=i, test=record.test, report=record.tool_report())
-            for i, record in enumerate(result.records)
-        ]
-        judge2_stage = BatchJudgeStage(
-            self.model, flavor, kind="indirect",
-            workers=self.config.judge_workers, cache=self.cache,
-        )
-        sweep = run_stage(judge2_stage, tasks)
-        sweep.raise_first("LLMJ-2 sweep")
-        judged2_by_index = {task.index: task.result for task in sweep.finished}
+        # Retroactive LLMJ-2 pass over the same evidence, counted as
+        # the pipeline's judge stage (the shard summary reads it)
+        judge2 = AgentLLMJ(self.model, flavor, kind="indirect")
+        if self.cache is not None:
+            judge2 = CachingAgentJudge(judge2, self.cache.judge)
+        with counted_run(len(result.records), "judge") as registry:
+            counters = StageCounters(registry, "judge")
+            judged2 = [
+                count_stage(
+                    counters, record.test,
+                    lambda: judge2.judge(record.test, record.tool_report()),
+                )
+                for record in result.records
+            ]
 
         llmj2_verdicts: list[bool] = []
         pipeline2_verdicts: list[bool] = []
         llmj1_verdicts: list[bool] = []
         pipeline1_verdicts: list[bool] = []
-        for i, record in enumerate(result.records):
-            judged2 = judged2_by_index[i]
-            llmj2_verdicts.append(judged2.says_valid)
+        for record, judged in zip(result.records, judged2):
+            llmj2_verdicts.append(judged.says_valid)
             stage_ok = record.compiled and record.ran_clean
-            pipeline2_verdicts.append(stage_ok and judged2.says_valid)
+            pipeline2_verdicts.append(stage_ok and judged.says_valid)
             says1 = record.judge_result.says_valid if record.judge_result else False
             llmj1_verdicts.append(says1)
             pipeline1_verdicts.append(stage_ok and says1)

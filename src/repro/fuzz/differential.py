@@ -223,10 +223,8 @@ class DifferentialRunner:
         self.cache = cache
         self.pool = pool
         self.arms = tuple(arms) if arms is not None else EXECUTION_BACKENDS
-        self.spec = ComputeSpec(
-            "differential", "candidate", "fuzz:worker-compute",
-            model, openmp_max_version, step_limit,
-        )
+        self.spec = ComputeSpec("differential", "candidate", "fuzz:worker-compute")
+        self.toolchain = (model, openmp_max_version, step_limit)
         unknown = [arm for arm in self.arms if arm not in EXECUTION_BACKENDS]
         if unknown:
             raise ValueError(
@@ -270,7 +268,9 @@ class DifferentialRunner:
             outcome = self._compute(test)
         else:
             outcome = _outcome(
-                *self.pool.compute(self.spec, test.name, test.source, self.arms)
+                *self.pool.compute(
+                    self.spec, self.toolchain, test.name, test.source, self.arms
+                )
             )
         if self.cache is not None:
             self.cache.put(key, outcome.to_json())

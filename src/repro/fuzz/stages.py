@@ -29,7 +29,7 @@ from repro.corpus.generator import EXTENSIONS, TestFile
 from repro.judge.agent import ToolReport
 from repro.judge.llmj import AgentLLMJ, JudgeResult
 from repro.pipeline.pool import ComputePool
-from repro.pipeline.stages import Stage, StageOutcome
+from repro.pipeline.scheduler import Stage, StageOutcome
 from repro.probing.mutators import MutationError
 
 from repro.fuzz.differential import DifferentialOutcome, DifferentialRunner

@@ -23,7 +23,7 @@ import hashlib
 import random
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.llm.analysis import CodeSignals, ShallowAnalyzer
 from repro.llm.profiles import (
@@ -68,6 +68,18 @@ class GenerationStats:
             self.simulated_seconds += simulated_call_seconds(prompt_tokens, completion_tokens)
             if malformed:
                 self.malformed_responses += 1
+
+    def totals(self) -> tuple:
+        """The counts, in field order: plain data, to carry across
+        processes."""
+        with self._lock:
+            return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def add(self, totals: tuple) -> None:
+        """Count another model's :meth:`totals` into these."""
+        with self._lock:
+            for f, value in zip([f for f in fields(self) if f.compare], totals):
+                setattr(self, f.name, getattr(self, f.name) + value)
 
 
 @dataclass

@@ -8,8 +8,7 @@ whose root span opens from that context, so every span it ships is
 already parented under the dispatcher.  It also ships the metrics
 registry's growth since its last report.  The parent folds both in
 with :func:`absorb` — the one way spans and counts from another process
-enter this one.  Work submitted before the span that consumes it opens
-ships under :func:`detached_context` and is re-rooted by ``absorb``.
+enter this one.
 """
 
 from __future__ import annotations
@@ -64,37 +63,11 @@ class WorkerTelemetry:
         return delta or None
 
 
-def detached_context() -> trace.TraceContext | None:
-    """A placeholder context for work submitted ahead of the span that
-    will consume it (None with tracing off, so the worker records
-    nothing); :func:`absorb` with ``parent`` re-roots the reply."""
-    if trace.active() is None:
-        return None
-    return trace.TraceContext(trace_id=trace.new_id(), span_id=trace.new_id())
-
-
-def absorb(spans, metrics_delta, parent: trace.SpanRecord | None = None) -> None:
+def absorb(spans, metrics_delta, registry=None) -> None:
     """Fold what a worker shipped into this process: spans into the
-    ambient tracer (dropped with tracing off), counts into the registry.
-
-    With ``parent`` (the open span that consumes the work), the shipped
-    tree moves under it first: every span joins its trace, and each
-    root (a span whose parent was not shipped) hangs from it.  A root
-    that began before ``parent`` opened (the work was submitted ahead of
-    it) is clipped to start there (to zero length if it also ended
-    before), so the parent's self time (its duration less its
-    children's) is the time it spent outside the worker's and never
-    negative; the spans below the root keep their times.
-    """
+    ambient tracer (dropped with tracing off), counts into ``registry``
+    (the process registry by default)."""
     tracer = trace.active()
     if tracer is not None and spans:
-        if parent is not None:
-            shipped = {span["span_id"] for span in spans}
-            for span in spans:
-                span["trace_id"] = parent.trace_id
-                if span["parent_id"] not in shipped:
-                    span["parent_id"] = parent.span_id
-                    span["start"] = max(span["start"], parent.start)
-                    span["end"] = max(span["end"], span["start"])
         tracer.absorb(spans)
-    get_metrics().apply(metrics_delta)
+    (get_metrics() if registry is None else registry).apply(metrics_delta)

@@ -260,12 +260,6 @@ def current() -> TraceContext | None:
     return holder.context
 
 
-def current_span() -> SpanRecord | None:
-    """This thread's open span, when a tracer on this thread opened it."""
-    holder = _current_span.get()
-    return holder if isinstance(holder, SpanRecord) else None
-
-
 def annotate(**attrs) -> None:
     """Attach attributes to the current span, if one is open."""
     holder = _current_span.get()

@@ -1,10 +1,10 @@
 """The validation pipeline (paper §III-C, Figure 2).
 
-Files flow through three stages — **compile → execute → LLM-judge** —
-with bounded queues between stages and a worker pool per stage.  A file
+Each file runs one chain — **compile → execute → LLM-judge** — in a
+loop on the calling thread, or as one task in a process pool.  A file
 failing an early stage has demonstrated invalidity, so in early-exit
 mode it skips the expensive judge stage; record-all mode (used by the
-paper's Part Two experiments) pushes every file through every stage so
+paper's Part Two experiments) carries every file through every stage so
 both the pipeline verdict and the judge-only verdict can be computed
 retroactively.
 """
@@ -17,19 +17,10 @@ from repro.pipeline.engine import (
 )
 from repro.pipeline.scheduler import (
     SchedulerResult,
-    StageError,
-    StageScheduler,
-    run_stage,
-)
-from repro.pipeline.stages import (
-    BatchJudgeStage,
-    CompileStage,
-    ExecuteStage,
-    JudgeStage,
-    JudgeTask,
-    PipelineItem,
     Stage,
+    StageError,
     StageOutcome,
+    StageScheduler,
 )
 from repro.pipeline.stats import PipelineStats, StageCounts
 
@@ -45,11 +36,4 @@ __all__ = [
     "StageScheduler",
     "SchedulerResult",
     "StageError",
-    "run_stage",
-    "CompileStage",
-    "ExecuteStage",
-    "JudgeStage",
-    "BatchJudgeStage",
-    "JudgeTask",
-    "PipelineItem",
 ]

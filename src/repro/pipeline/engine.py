@@ -1,60 +1,129 @@
-"""The staged, parallel validation pipeline.
+"""The validation pipeline: one call per file.
 
-Three declarative stages connected by the generic
-:class:`~repro.pipeline.scheduler.StageScheduler`:
+Each file runs one chain (paper §III-C, Figure 2):
 
 .. code-block:: text
 
-    files -> [compile xN] -> [execute xN] -> [judge xN] -> records
+    file -> compile -> execute -> judge -> record
 
-Early-exit mode drops failing files out of the flow immediately with
-an ``invalid`` verdict; record-all mode carries them through so the
-Part Two experiments can score judge-only and pipeline verdicts from
-one pass.  Bounded queues give back-pressure; per-stage worker counts
-are independent knobs (the paper's §III-C: compile and execute pools,
-an LLM stage sized to GPU availability).
+Early-exit mode ends the chain at the first failing stage with an
+``invalid`` verdict; record-all mode carries failing files on to the
+judge, so the Part Two experiments can score judge-only and pipeline
+verdicts from one pass.  :meth:`ValidationPipeline.validate_file` is
+the chain; it counts each stage into the ``pipeline_stage_*`` series
+and opens a ``stage.<name>`` span for it.  Every cache lookup goes
+through one ``lookup(namespace, key, compute)`` callable, so the same
+chain runs against a :class:`~repro.cache.bundle.PipelineCache`,
+against no cache, and inside a pool worker.
 
-The scheduler owns threading, shutdown and stats; the stages
-(:mod:`repro.pipeline.stages`) own per-file policy; and an optional
-:class:`~repro.cache.bundle.PipelineCache` fronts the compile and
-judge workhorses with content-addressed result reuse.  Threads share
-one core under the GIL, so :meth:`ValidationPipeline.run` with
-``processes >= 2`` computes compile and execute in a run-scoped
-:class:`~repro.pipeline.pool.ComputePool` instead.
+:meth:`ValidationPipeline.run` calls the chain in a loop on the calling
+thread, or, with ``processes >= 2``, sends each file's chain to a
+:class:`~repro.pipeline.pool.ComputePool` as one task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
+from repro.cache.keys import compile_key, execute_key
+from repro.cache.wrappers import agent_judge_key
+from repro.compiler.driver import Compiler, CompileResult
 from repro.corpus.generator import TestFile
 from repro.judge.agent import ToolReport
-from repro.judge.llmj import JudgeResult
+from repro.judge.llmj import AgentLLMJ, JudgeResult
 from repro.llm.model import DeepSeekCoderSim
-from repro.pipeline.pool import ComputePool, ComputeWorkerCrash
-from repro.pipeline.scheduler import StageScheduler
-from repro.pipeline.stages import CompileStage, ExecuteStage, JudgeStage, Prefetch
-from repro.pipeline.stats import PipelineStats
+from repro.obs import trace
+from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.remote import absorb
+from repro.pipeline.pool import ComputePool, ComputeSpec, run_task
+from repro.pipeline.stats import PipelineStats, StageCounters, counted_run
+from repro.runtime.executor import ExecutionResult, Executor
 
 #: the fewest files to compute that open a pool (``ValidationPipeline.run``):
-#: below it, starting the workers costs more than the threads lose.  On
-#: 2 cores a ``validate`` CLI process breaks even at 20-24 files (its
-#: pool also pays the imports and first-use costs a warm process has
-#: behind it) and a warm library process at 8.
+#: below it, starting the workers costs more than they win.  On 2 cores
+#: a ``validate`` CLI process breaks even at 20-24 files (its pool also
+#: pays the imports and first-use costs a warm process has behind it)
+#: and a warm library process at 8.
 MIN_POOLED_FILES = 24
+
+#: the chain's stages, in order
+STAGES = ("compile", "execute", "judge")
+
+#: ``lookup(namespace, key, compute)``: the value cached under ``key`` in
+#: ``namespace`` (``'compile'``, ``'execute'``, ``'judge'``), else
+#: ``compute()``'s
+Lookup = Callable[[str, str, Callable[[], Any]], Any]
+
+
+def uncached(namespace: str, key: str, compute: Callable[[], Any]) -> Any:
+    """The lookup of a run without a cache."""
+    return compute()
+
+
+def cached(cache) -> Lookup:
+    """Lookups in ``cache`` (a PipelineCache), each counted as a hit or
+    a miss; a miss stores what it computed."""
+
+    def lookup(namespace: str, key: str, compute: Callable[[], Any]) -> Any:
+        return getattr(cache, namespace).get_or_compute(key, compute)
+
+    return lookup
+
+
+def compile_file(compiler: Compiler, test: TestFile, lookup: Lookup) -> CompileResult:
+    """Compile ``test`` through ``lookup``.
+
+    The compile cache stores results without their AST, so a hit has no
+    unit; a miss returns the fresh result, unit and all.
+    """
+    fresh = None
+
+    def compute() -> CompileResult:
+        nonlocal fresh
+        fresh = compiler.compile(test.source, test.name)
+        return replace(fresh, unit=None, info=None)
+
+    key = compile_key(compiler.fingerprint(), test.name, test.source)
+    stored = lookup("compile", key, compute)
+    return stored if fresh is None else fresh
+
+
+def execute_file(
+    compiler: Compiler, executor: Executor, test: TestFile, compiled: CompileResult,
+    lookup: Lookup,
+) -> ExecutionResult:
+    """Run the compiled ``test`` through ``lookup``.
+
+    The execute key is the compile's content key plus the step limit.
+    The execution backend is not part of it: the walk and closure
+    backends are observationally identical (asserted corpus-wide by
+    ``tests/test_backend_equivalence.py``), so results computed under
+    either warm-start the other.  A result built outside a
+    :class:`Compiler` has no content key and runs uncached.  On an
+    execute-cache miss, a compile served from the cache (which kept no
+    unit) is compiled from source first.
+    """
+
+    def compute() -> ExecutionResult:
+        if compiled.unit is None:
+            return executor.run(compiler.compile(test.source, test.name))
+        return executor.run(compiled)
+
+    if not compiled.content_key:
+        return compute()
+    return lookup("execute", execute_key(compiled.content_key, executor.step_limit), compute)
+
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline tuning knobs."""
+    """What the chain computes with."""
 
     flavor: str = "acc"
     judge_kind: str = "direct"  # 'direct' (LLMJ 1) | 'indirect' (LLMJ 2)
     early_exit: bool = True
-    compile_workers: int = 2
-    execute_workers: int = 2
-    judge_workers: int = 1
-    queue_capacity: int = 64
     openmp_max_version: float = 4.5
     step_limit: int = 3_000_000
     model_seed: int = 20240822
@@ -74,9 +143,6 @@ class PipelineConfig:
                 f"execution_backend must be one of {EXECUTION_BACKENDS},"
                 f" got {self.execution_backend!r}"
             )
-        for knob in ("compile_workers", "execute_workers", "judge_workers"):
-            if getattr(self, knob) < 1:
-                raise ValueError(f"{knob} must be >= 1")
 
 
 @dataclass
@@ -91,7 +157,6 @@ class PipelineRecord:
     run_stderr: str | None = None
     run_stdout: str | None = None
     judge_result: JudgeResult | None = None
-    judge_skipped: bool = False
 
     @property
     def compiled(self) -> bool:
@@ -145,12 +210,12 @@ class PipelineResult:
 
 
 class ValidationPipeline:
-    """Run files through compile → execute → judge with thread pools.
+    """Run files through compile → execute → judge, one chain per file.
 
     ``environment`` optionally post-processes compile results (see
     :class:`repro.experiments.environment.EnvironmentModel`); ``cache``
-    optionally fronts the compile, execute and judge workhorses with
-    the content-addressed :class:`~repro.cache.bundle.PipelineCache`.
+    optionally fronts the compile, execute and judge work with the
+    content-addressed :class:`~repro.cache.bundle.PipelineCache`.
     """
 
     def __init__(
@@ -164,56 +229,255 @@ class ValidationPipeline:
         self.model = model or DeepSeekCoderSim(seed=config.model_seed)
         self.environment = environment
         self.cache = cache
-
-    def stages(self) -> list:
-        """The declarative stage chain (override point for new kinds)."""
-        return [
-            CompileStage(self.config, environment=self.environment, cache=self.cache),
-            ExecuteStage(self.config, cache=self.cache),
-            JudgeStage(self.config, self.model, cache=self.cache),
-        ]
+        self.compiler = Compiler(
+            model=config.flavor, openmp_max_version=config.openmp_max_version
+        )
+        self.executor = Executor(
+            step_limit=config.step_limit, backend=config.execution_backend
+        )
+        self.judge = AgentLLMJ(
+            self.model, config.flavor, kind=config.judge_kind,
+            execution_backend=config.execution_backend,
+        )
 
     # ------------------------------------------------------------------
 
     def run(self, files: list[TestFile], processes: int = 1) -> PipelineResult:
         """Validate ``files``; records come back in their order.
 
+        ``processes=1`` calls :meth:`validate_file` in a loop on this
+        thread: the spec a pooled run's verdicts and counts match.
         With ``processes >= 2`` and at least :data:`MIN_POOLED_FILES`
-        files to compute, every file the stages would compile or execute
-        is computed in a :class:`~repro.pipeline.pool.ComputePool` of up
-        to that many processes, all submitted before any scheduler
-        thread starts (see :class:`~repro.pipeline.stages.Prefetch`); the
-        pool opens on this thread and closes before this returns.  The
-        caches, the judge and routing stay in this process, and files
-        enter the stages as their outcomes arrive.  A dead worker raises
-        :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
-        ``processes=1`` runs everything in-process: the spec a pooled
-        run's verdicts and counts match.
+        files to compute, each such file's chain runs as one task in a
+        :class:`~repro.pipeline.pool.ComputePool` of up to that many
+        processes, opened and closed on this thread (see
+        :meth:`_run_pooled`).  A dead worker raises
+        :class:`~repro.pipeline.pool.ComputeWorkerCrash`.  Either way,
+        every judgment the run computes counts into ``model.stats``.
         """
-        if processes > 1:
-            if self.environment is not None:
-                raise ValueError("a pooled run cannot apply an environment model")
-            prefetch = Prefetch(self.config, self.cache, files)
-            if prefetch.pooled >= MIN_POOLED_FILES:
-                with ComputePool(min(processes, prefetch.pooled)) as pool:
-                    prefetch.submit(pool)
-                    return self._run(files, prefetch)
-        return self._run(files, None)
+        if processes > 1 and self.environment is not None:
+            raise ValueError("a pooled run cannot apply an environment model")
+        with counted_run(len(files), ",".join(STAGES)) as registry:
+            lookup, counters = self._lookup(), stage_counters(registry)
+            records = None
+            if processes > 1:
+                records = self._run_pooled(files, processes, lookup, registry, counters)
+            if records is None:
+                records = [self.validate_file(test, lookup, counters) for test in files]
+        return PipelineResult(records=records, stats=PipelineStats(registry.export_state()))
 
-    def _run(self, files: list[TestFile], prefetch: Prefetch | None) -> PipelineResult:
-        stages = self.stages()
-        for stage in stages:
-            if isinstance(stage, (CompileStage, ExecuteStage)):
-                stage.prefetch = prefetch
-        scheduler = StageScheduler(stages, queue_capacity=self.config.queue_capacity)
-        run = scheduler.run(files if prefetch is None else prefetch)
-        for error in run.errors:
-            if isinstance(error.error, ComputeWorkerCrash):
-                raise error.error
-        run.raise_first("validation pipeline")
+    def validate_file(
+        self, test: TestFile, lookup: Lookup, counters: dict[str, StageCounters]
+    ) -> PipelineRecord:
+        """One file's chain: compile, then execute, then judge.
 
-        # deterministic output order regardless of thread interleaving
-        order = {test.name: i for i, test in enumerate(files)}
-        records = [item.record for item in run.finished]
-        records.sort(key=lambda r: order.get(r.test.name, 1 << 30))
-        return PipelineResult(records=records, stats=run.stats)
+        * a failed compile ends the chain in early-exit mode (execute
+          and judge count a skip) and goes straight to the judge in
+          record-all mode;
+        * a failed run ends it in early-exit mode (the judge counts a
+          skip).
+        """
+        compiled = count_stage(counters["compile"], test, lambda: self._compile(test, lookup))
+        executed = None
+        if compiled.ok:
+            executed = count_stage(
+                counters["execute"], test, lambda: self._execute(test, compiled, lookup)
+            )
+        record = _record(test, compiled, executed)
+        if self._ends_early(compiled, executed):
+            for stage in ("execute", "judge") if executed is None else ("judge",):
+                counters[stage].skipped.inc()
+            return record
+        report = record.tool_report()
+        record.judge_result = count_stage(
+            counters["judge"], test,
+            lambda: lookup(
+                "judge", agent_judge_key(self.judge, test, report),
+                lambda: self.judge.judge(test, report),
+            ),
+        )
+        return record
+
+    # ------------------------------------------------------------------
+
+    def _lookup(self) -> Lookup:
+        return uncached if self.cache is None else cached(self.cache)
+
+    def _ends_early(self, compiled: CompileResult, executed: ExecutionResult | None) -> bool:
+        """Whether the chain ends before the judge: a stage failed, in
+        early-exit mode."""
+        return self.config.early_exit and not (compiled.ok and executed.ok)
+
+    def _compile(self, test: TestFile, lookup: Lookup) -> CompileResult:
+        compiled = compile_file(self.compiler, test, lookup)
+        if self.environment is not None:
+            compiled = self.environment.apply(test, compiled)
+        return compiled
+
+    def _execute(self, test: TestFile, compiled: CompileResult, lookup: Lookup) -> ExecutionResult:
+        trace.annotate(backend=self.config.execution_backend)
+        return execute_file(self.compiler, self.executor, test, compiled, lookup)
+
+    # ------------------------------------------------------------------
+
+    def _run_pooled(
+        self, files: list[TestFile], processes: int, lookup: Lookup,
+        registry: MetricsRegistry, counters: dict[str, StageCounters],
+    ) -> list[PipelineRecord] | None:
+        """A pooled run's records, or None when it should stay in-process.
+
+        1. Peeking (uncounted), find each file's cached prefix: the
+           compile and execute entries the cache holds.  A file whose
+           chain should run here (see :meth:`_cached_prefix`), or whose
+           twin (same compile key) went to the pool first, runs here.
+        2. Send every other file's chain to the pool as one task, its
+           prefix in front, longest source first.  The worker rebuilds
+           the judge from the model's seed and context size, so only a
+           plain :class:`DeepSeekCoderSim` pools.
+        3. In file order, replay each task's lookups against the cache
+           (the counted lookups an in-process run makes), store what it
+           computed, and fold in its spans and stage counts.  When its
+           judgment is the one kept, its model calls count into
+           ``model.stats``.
+        """
+        if type(self.model) is not DeepSeekCoderSim:
+            return None
+        seeds: dict[int, dict] = {}
+        pooled_keys = set()
+        for i, test in enumerate(files):
+            key = compile_key(self.compiler.fingerprint(), test.name, test.source)
+            prefix = {} if self.cache is None else self._cached_prefix(test, key)
+            if key not in pooled_keys and prefix is not None:
+                pooled_keys.add(key)
+                seeds[i] = prefix
+        if len(seeds) < MIN_POOLED_FILES:
+            return None
+        spec = ComputeSpec("pipeline", "file", "pipeline:worker-compute")
+        model = (self.model.seed, self.model.max_context_tokens)
+        records = []
+        with ComputePool(min(processes, len(seeds))) as pool:
+            ctx = trace.current()
+            futures = {
+                i: pool.submit(_validate_task, spec, self.config, model, files[i], seeds[i], ctx)
+                for i in sorted(seeds, key=lambda i: len(files[i].source), reverse=True)
+            }
+            for i, test in enumerate(files):
+                if i not in futures:
+                    records.append(self.validate_file(test, lookup, counters))
+                    continue
+                (record, lookups, llm_calls), spans, metrics_delta = pool.result(
+                    futures[i], spec, test.name
+                )
+                absorb(spans, metrics_delta, registry)
+                for namespace, key, value in lookups:
+                    lookup(namespace, key, self._kept(namespace, value, llm_calls))
+                records.append(record)
+        return records
+
+    def _kept(self, namespace: str, value: Any, llm_calls: tuple) -> Callable[[], Any]:
+        """A replayed lookup's compute: the task's ``value``, and, for a
+        judgment, the task's model calls counted into ``model.stats``."""
+
+        def keep() -> Any:
+            if namespace == "judge":
+                self.model.stats.add(llm_calls)
+            return value
+
+        return keep
+
+    def _cached_prefix(self, test: TestFile, key: str) -> dict | None:
+        """The compile and execute entries the cache holds for ``test``,
+        by key; None when its chain should run here: the cache holds all
+        of it, or holds its execution without its compile.  The compile
+        cache is memory-only, so a cache loaded from disk does that; the
+        file compiles here (~2 ms) and its later lookups likely hit."""
+        ekey = execute_key(key, self.config.step_limit)
+        compiled = self.cache.compile.peek(key)
+        executed = self.cache.execute.peek(ekey)
+        if compiled is None:
+            return None if executed is not None else {}
+        prefix = {k: v for k, v in ((key, compiled), (ekey, executed)) if v is not None}
+        if compiled.ok and executed is None:
+            return prefix
+        executed = executed if compiled.ok else None
+        if self._ends_early(compiled, executed):
+            return None
+        report = _record(test, compiled, executed).tool_report()
+        judged = self.cache.judge.peek(agent_judge_key(self.judge, test, report))
+        return None if judged is not None else prefix
+
+
+def _record(
+    test: TestFile, compiled: CompileResult, executed: ExecutionResult | None
+) -> PipelineRecord:
+    """What the compile and execute stages learned about ``test``."""
+    record = PipelineRecord(
+        test=test,
+        compile_rc=compiled.returncode,
+        compile_stderr=compiled.stderr,
+        diagnostic_codes=tuple(compiled.diagnostic_codes),
+    )
+    if executed is not None:
+        record.run_rc = executed.returncode
+        record.run_stderr = executed.stderr
+        record.run_stdout = executed.stdout
+    return record
+
+
+def stage_counters(registry: MetricsRegistry) -> dict[str, StageCounters]:
+    """The chain's per-stage instruments in ``registry``."""
+    return {name: StageCounters(registry, name) for name in STAGES}
+
+
+def count_stage(counters: StageCounters, test: TestFile, work: Callable):
+    """Run ``work()`` as ``test``'s call of the counted stage, in a
+    ``stage.<name>`` span.  A judgment passes when it says valid and
+    costs its simulated LLM time; any other result passes when ``ok``
+    and costs its busy time."""
+    t0 = time.perf_counter()
+    try:
+        with trace.span(f"stage.{counters.stage}", file=test.name):
+            value = work()
+    except Exception:
+        counters.error(time.perf_counter() - t0)
+        raise
+    busy = time.perf_counter() - t0
+    if isinstance(value, JudgeResult):
+        counters.done(busy, value.says_valid, value.simulated_seconds)
+    else:
+        counters.done(busy, value.ok, busy)
+    return value
+
+
+def _validate_task(
+    spec: ComputeSpec, config: PipelineConfig, model: tuple[int, int], test: TestFile,
+    seeds: dict, trace_ctx,
+) -> tuple:
+    """A pooled run's task (module-level: spawn-safe): ``test``'s chain,
+    counted into this worker's registry, with ``seeds`` (the parent's
+    entries by key) served in front of the computation.
+
+    Its value is ``(record, lookups, llm_calls)``: ``lookups`` holds the
+    ``(namespace, key, value)`` of every lookup the chain made, in
+    order, for the parent to replay against its cache, and
+    ``llm_calls`` the rebuilt model's :meth:`GenerationStats.totals
+    <repro.llm.model.GenerationStats.totals>`.
+    """
+    seed, max_context_tokens = model
+    pipeline = ValidationPipeline(
+        config, model=DeepSeekCoderSim(seed=seed, max_context_tokens=max_context_tokens)
+    )
+    lookups = []
+
+    def lookup(namespace: str, key: str, compute: Callable[[], Any]) -> Any:
+        value = seeds.get(key)
+        if value is None:
+            value = compute()
+        lookups.append((namespace, key, value))
+        return value
+
+    def chain() -> tuple:
+        record = pipeline.validate_file(test, lookup, stage_counters(get_metrics()))
+        return record, lookups, pipeline.model.stats.totals()
+
+    return run_task(spec, test.name, trace_ctx, chain)

@@ -1,26 +1,24 @@
-"""One compute pool, two users: compile a file, then run it, in worker processes.
+"""One compute pool, two users: CPU-bound tasks in worker processes.
 
-Compile and execute are pure CPU work under the GIL, so threads keep
-about one core busy.  :class:`ComputePool` runs them in processes for
-two users:
+Compile, execute and the judge are pure CPU work under the GIL, so
+threads keep about one core busy.  :class:`ComputePool` runs tasks in
+processes for two users:
 
 * the validation pipeline (:meth:`ValidationPipeline.run
   <repro.pipeline.engine.ValidationPipeline.run>` with ``processes >=
-  2``): one arm, the configured backend, and every cache-missing file
-  submitted when the run starts;
+  2``): one task per file, its whole compile → execute → judge chain
+  past the cache entries the parent already holds;
 * the fuzz campaign's differential oracle
-  (:class:`~repro.fuzz.differential.DifferentialRunner`): every arm,
-  one candidate per call.
+  (:class:`~repro.fuzz.differential.DifferentialRunner`): one
+  :func:`compute` task per candidate, compiled and run under every arm.
 
-A task is :func:`compute`: compile ``source``, then run the unit under
-each of ``arms``.  It is module-level and takes only picklable
-arguments, so it works under fork and spawn alike.  The reply carries
-the compile result without its AST (which stays in the worker), one
-:class:`~repro.runtime.executor.ExecutionResult` per arm, and the
-worker's spans and metrics delta; the parent folds those in with
-:func:`~repro.obs.remote.absorb`.  Caches, judges and routing never
-cross.  Each user's in-process path (:func:`compile_and_run` on the
-calling thread) is the spec a pooled run must match byte for byte.
+A task is a module-level function taking only picklable arguments, so
+it works under fork and spawn alike.  It runs through :func:`run_task`,
+which passes the user's fault point and records the task's spans and
+metrics delta; the reply carries them home with the task's value, and
+the user folds them in.  Caches never cross: the parent reads and fills
+them.  Each user's in-process path is the spec a pooled run must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -38,9 +36,10 @@ from repro.runtime.executor import Executor
 from repro.testing import faultinject
 from repro.testing.faultinject import fault_point
 
+
 @dataclass(frozen=True)
 class ComputeSpec:
-    """How a user names its tasks, and the toolchain they compute with.
+    """How a user names its tasks.
 
     ``worker`` names the worker's root span (``worker.<worker>``) and
     its crash message, ``noun`` what one task computes (``'file'``,
@@ -50,9 +49,11 @@ class ComputeSpec:
     worker: str
     noun: str
     fault_point: str
-    model: str
-    openmp_max_version: float
-    step_limit: int
+
+
+#: what :func:`compute` compiles and runs with: ``(model,
+#: openmp_max_version, step_limit)``
+Toolchain = tuple[str, float, int]
 
 
 def compile_and_run(
@@ -74,7 +75,7 @@ class ComputeWorkerCrash(RuntimeError):
 
 
 class ComputePool:
-    """A run-scoped process pool for :func:`compute` tasks.
+    """A run-scoped process pool for module-level tasks.
 
     Opening it imports the compile and execute modules, then forks (or
     spawns) every worker at once, on the calling thread: with fork,
@@ -110,40 +111,34 @@ class ComputePool:
             self.close()
             raise
 
-    def submit(
-        self, spec: ComputeSpec, name: str, source: str, arms: tuple[str, ...],
-        trace_ctx: trace.TraceContext | None,
-    ) -> Future:
-        """Queue one :func:`compute` task; read it with :meth:`result`."""
-        return self._executor.submit(compute, spec, name, source, arms, trace_ctx)
+    def submit(self, task, *args) -> Future:
+        """Queue one task (a module-level function returning ``(value,
+        spans, metrics_delta)``); read it with :meth:`result`."""
+        return self._executor.submit(task, *args)
 
-    def result(
-        self, future: Future, spec: ComputeSpec, name: str,
-        parent: trace.SpanRecord | None = None,
-    ) -> tuple[CompileResult, dict]:
-        """``(compiled, results)`` of a submitted task, its telemetry
-        absorbed here (re-rooted under the open span ``parent`` when
-        given).  Read each future once: a second read would absorb its
-        counts twice."""
+    def result(self, future: Future, spec: ComputeSpec, name: str) -> tuple:
+        """A submitted task's ``(value, spans, metrics_delta)``; the
+        caller absorbs the telemetry, once per future."""
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            compiled, results, spans, metrics_delta = future.result()
+            return future.result()
         except BrokenProcessPool as exc:
             raise ComputeWorkerCrash(
                 f"a {spec.worker} worker process died while computing"
                 f" {spec.noun} {name!r}"
             ) from exc
-        absorb(spans, metrics_delta, parent=parent)
-        return compiled, results
 
     def compute(
-        self, spec: ComputeSpec, name: str, source: str, arms: tuple[str, ...]
+        self, spec: ComputeSpec, toolchain: Toolchain, name: str, source: str,
+        arms: tuple[str, ...],
     ) -> tuple[CompileResult, dict]:
-        """One task, waited for; the worker's spans parent under the
-        calling thread's current span."""
-        future = self.submit(spec, name, source, arms, trace.current())
-        return self.result(future, spec, name)
+        """One :func:`compute` task, waited for; the worker's spans
+        parent under the calling thread's current span."""
+        future = self.submit(compute, spec, toolchain, name, source, arms, trace.current())
+        value, spans, metrics_delta = self.result(future, spec, name)
+        absorb(spans, metrics_delta)
+        return value
 
     def close(self) -> None:
         self._executor.shutdown(wait=True, cancel_futures=True)
@@ -190,22 +185,31 @@ def _exit_with_parent(parent_pid: int) -> None:
     os._exit(1)
 
 
-def compute(
-    spec: ComputeSpec, name: str, source: str, arms: tuple[str, ...], trace_ctx
-) -> tuple:
-    """The pool worker's entrypoint (module-level: spawn-safe).
-
-    Returns ``(compiled, results, spans, metrics_delta)``: ``compiled``
-    without its AST, ``results`` one ExecutionResult per arm (empty
-    when the compile failed), and the spans parented under
-    ``trace_ctx``.
-    """
+def run_task(spec: ComputeSpec, name: str, trace_ctx, work) -> tuple:
+    """Run one task's ``work`` in a pool worker: pass the spec's fault
+    point, then return ``(work(), spans, metrics_delta)`` with the spans
+    under a root ``worker.<spec.worker>`` span opened from
+    ``trace_ctx``."""
     fault_point(spec.fault_point)
-    compiler = Compiler(model=spec.model, openmp_max_version=spec.openmp_max_version)
-    executors = {arm: Executor(step_limit=spec.step_limit, backend=arm) for arm in arms}
-    (compiled, results), spans, metrics_delta = _worker_telemetry.run(
-        trace_ctx, f"worker.{spec.worker}",
+    return _worker_telemetry.run(trace_ctx, f"worker.{spec.worker}", work, file=name)
+
+
+def compute(
+    spec: ComputeSpec, toolchain: Toolchain, name: str, source: str,
+    arms: tuple[str, ...], trace_ctx,
+) -> tuple:
+    """The oracle's task (module-level: spawn-safe): compile ``source``
+    with ``toolchain`` and run it under each of ``arms``.
+
+    Its value is ``(compiled, results)``: ``compiled`` without its AST,
+    ``results`` one ExecutionResult per arm (empty when the compile
+    failed).
+    """
+    model, openmp_max_version, step_limit = toolchain
+    compiler = Compiler(model=model, openmp_max_version=openmp_max_version)
+    executors = {arm: Executor(step_limit=step_limit, backend=arm) for arm in arms}
+    (compiled, results), spans, metrics_delta = run_task(
+        spec, name, trace_ctx,
         lambda: compile_and_run(compiler, executors, source, name),
-        file=name,
     )
-    return replace(compiled, unit=None, info=None), results, spans, metrics_delta
+    return (replace(compiled, unit=None, info=None), results), spans, metrics_delta

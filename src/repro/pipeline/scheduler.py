@@ -1,10 +1,9 @@
 """The generic stage scheduler.
 
 :class:`StageScheduler` runs a linear chain of :class:`Stage` objects
-as communicating worker pools — the substrate the validation pipeline
-(compile → execute → judge) is built on, reusable for any staged,
-routed workload (the experiment runner batches its retroactive judge
-pass through a one-stage scheduler).
+as communicating worker pools.  The fuzz campaign's rounds (mutate →
+differential → triage) run on it; the validation pipeline runs each
+file's chain as one call instead (:mod:`repro.pipeline.engine`).
 
 Responsibilities owned here so stages never re-implement them:
 
@@ -12,10 +11,10 @@ Responsibilities owned here so stages never re-implement them:
 * thread spawning with per-worker stage state
   (:meth:`Stage.make_worker_state`) and sentinel shutdown;
 * per-stage statistics (pass/fail/skip counts, busy and simulated
-  seconds, items, errors), counted once into a registry owned by the
-  run and applied to the process registry when the run ends;
-* forward routing — an outcome may jump over stages (record-all mode
-  routes failed compiles straight to the judge);
+  seconds, items, errors), counted the validation pipeline's way
+  (:func:`~repro.pipeline.stats.counted_run`,
+  :class:`~repro.pipeline.stats.StageCounters`);
+* forward routing — an outcome may jump over stages;
 * error containment — a stage that raises marks the item failed and
   keeps the run draining instead of deadlocking ``queue.join``.
 
@@ -33,11 +32,45 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.pipeline.stages import Stage, StageOutcome
-from repro.pipeline.stats import (
-    FILES, STAGE_OUTCOMES, STAGE_SECONDS, STAGE_SIMULATED, WALL, PipelineStats,
-)
+from repro.pipeline.stats import PipelineStats, StageCounters, counted_run
+
+
+@dataclass(frozen=True)
+class StageOutcome:
+    """What one ``process`` call decided.
+
+    ``ok=None`` means "record no pass/fail statistic" (rare; used by
+    pure routing stages).  ``simulated_seconds=None`` defaults the
+    simulated cost to the measured busy time — right for CPU-bound
+    stages; a judge overrides it with the LLM service-time model.
+    ``skip_stats`` names stages whose statistics should record a skip
+    (early-exit accounting).
+    """
+
+    payload: Any
+    ok: bool | None = None
+    done: bool = False
+    next_stage: str | None = None
+    skip_stats: tuple[str, ...] = ()
+    simulated_seconds: float | None = None
+
+
+class Stage:
+    """One named worker pool in a scheduler chain: a name, a worker
+    count, optional per-worker state (anything not thread-safe to
+    share), and a ``process`` method that turns one item into a
+    :class:`StageOutcome` carrying the routing decision."""
+
+    name: str = "stage"
+    workers: int = 1
+
+    def make_worker_state(self) -> Any:
+        """Build per-thread state (called once per worker thread)."""
+        return None
+
+    def process(self, payload: Any, state: Any) -> StageOutcome:
+        raise NotImplementedError
+
 
 _SENTINEL = object()
 
@@ -47,10 +80,7 @@ def _trace_label(item: Any) -> str:
     name = getattr(item, "name", None)
     if isinstance(name, str):
         return name
-    test = getattr(getattr(item, "record", None), "test", None)
-    if test is None:
-        test = getattr(item, "test", None)
-    name = getattr(test, "name", None)
+    name = getattr(getattr(item, "test", None), "name", None)
     return name if isinstance(name, str) else type(item).__name__
 
 
@@ -61,19 +91,6 @@ class StageError:
     stage: str
     payload: Any
     error: Exception
-
-
-class _StageCounters:
-    """One stage's instruments in a run's registry, fetched once per run."""
-
-    def __init__(self, registry: MetricsRegistry, stage: str):
-        self.items = registry.counter("pipeline_stage_items_total", stage=stage)
-        self.errors = registry.counter("pipeline_stage_errors_total", stage=stage)
-        self.seconds = registry.histogram(STAGE_SECONDS, stage=stage)
-        self.passed = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="passed")
-        self.failed = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="failed")
-        self.skipped = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="skipped")
-        self.simulated = registry.counter(STAGE_SIMULATED, stage=stage)
 
 
 @dataclass
@@ -158,27 +175,20 @@ class StageScheduler:
         """
         self._abort.clear()
         result = SchedulerResult()
-        finished_lock = threading.Lock()
+        with counted_run(len(items), ",".join(self._index)) as registry:
+            self._drive(items, registry, result)
+        result.stats = PipelineStats(registry.export_state(), self._index)
+        return result
 
-        # Tracing: contextvars do not cross threads, so capture the
-        # submitting thread's context here and parent every stage span
-        # explicitly; worker threads never read the contextvar directly.
-        tracer = trace.active()
-        run_span = None
-        run_ctx = None
-        if tracer is not None:
-            run_span = tracer.start_span(
-                "scheduler.run",
-                parent=trace.current(),
-                stages=",".join(self._index),
-                items=len(items),
-            )
-            run_ctx = run_span.context
-        registry = MetricsRegistry()
-        registry.counter(FILES).inc(len(items))
+    def _drive(self, items: Sequence[Any], registry, result: SchedulerResult) -> None:
+        """:meth:`run`'s body, inside the run's ``scheduler.run`` span."""
+        finished_lock = threading.Lock()
+        # Tracing: contextvars do not cross threads, so capture the run
+        # span's context here and parent every stage span explicitly;
+        # worker threads never read the contextvar directly.
+        run_ctx = trace.current()
         counters = {
-            stage.name: _StageCounters(registry, stage.name)
-            for stage in self.stages
+            stage.name: StageCounters(registry, stage.name) for stage in self.stages
         }
 
         queues = [
@@ -236,23 +246,17 @@ class StageScheduler:
                     ):
                         outcome = stage.process(item, state)
                 except Exception as exc:  # noqa: BLE001 - contained by design
-                    counts.seconds.observe(time.perf_counter() - t0)
-                    counts.failed.inc()
-                    counts.errors.inc()
+                    counts.error(time.perf_counter() - t0)
                     with finished_lock:
                         result.errors.append(StageError(stage.name, item, exc))
                     finish(item)
                 else:
                     busy = time.perf_counter() - t0
-                    counts.seconds.observe(busy)
-                    counts.items.inc()
-                    if outcome.ok is not None:
-                        (counts.passed if outcome.ok else counts.failed).inc()
-                        counts.simulated.inc(
-                            busy
-                            if outcome.simulated_seconds is None
-                            else outcome.simulated_seconds
-                        )
+                    counts.done(
+                        busy, outcome.ok,
+                        busy if outcome.simulated_seconds is None
+                        else outcome.simulated_seconds,
+                    )
                     try:
                         for name in outcome.skip_stats:
                             counters[name].skipped.inc()
@@ -263,7 +267,6 @@ class StageScheduler:
                         finish(outcome.payload)
                 q.task_done()
 
-        started = time.perf_counter()
         pools: list[list[threading.Thread]] = []
         for i, stage in enumerate(self.stages):
             pools.append(_spawn(lambda i=i: worker(i), max(1, stage.workers)))
@@ -303,25 +306,10 @@ class StageScheduler:
                         with contextlib.suppress(queue.Full):
                             q.put_nowait(_SENTINEL)
                         thread.join(timeout=0.05)
-            if run_span is not None:
-                run_span.attrs["aborted"] = True
+            trace.annotate(aborted=True)
             raise
         finally:
             result.aborted = self._abort.is_set()
-            registry.counter(WALL).inc(time.perf_counter() - started)
-            result.stats = PipelineStats(registry.export_state(), self._index)
-            # the run's counts reach the process registry once, whole
-            get_metrics().merge(registry)
-            if run_span is not None:
-                tracer.finish(run_span)
-        return result
-
-
-def run_stage(
-    stage: Stage, items: Sequence[Any], queue_capacity: int = 64
-) -> SchedulerResult:
-    """Convenience: run one stage's worker pool over ``items``."""
-    return StageScheduler([stage], queue_capacity=queue_capacity).run(items)
 
 
 def _spawn(target: Callable[[], None], count: int) -> list[threading.Thread]:

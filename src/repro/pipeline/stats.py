@@ -1,4 +1,11 @@
-"""Pipeline statistics: a read-only view over the scheduler's counters.
+"""Pipeline statistics: how a run counts its stages, and a read-only
+view over those counts.
+
+Both runners count the same way: the validation pipeline's per-file
+chain (:mod:`repro.pipeline.engine`) and the fuzz campaign's
+:class:`~repro.pipeline.scheduler.StageScheduler` open a run with
+:func:`counted_run` and count each stage call through
+:class:`StageCounters`.
 
 Wall-clock timings measure the Python substrate; *simulated* time
 additionally charges the LLM stage with the 33B service-rate cost model
@@ -8,9 +15,12 @@ so the early-exit ablation shows the effect the paper argues for
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from typing import Iterable, NamedTuple
 
-from repro.obs.metrics import series
+from repro.obs import trace
+from repro.obs.metrics import MetricsRegistry, get_metrics, series
 
 # the series the scheduler records, all labelled ``stage`` except the
 # run-level files and wall; outcomes also carry ``outcome`` (passed /
@@ -20,6 +30,52 @@ STAGE_SECONDS = "pipeline_stage_seconds"
 STAGE_SIMULATED = "pipeline_stage_simulated_seconds_total"
 FILES = "pipeline_files_total"
 WALL = "pipeline_wall_seconds_total"
+
+
+@contextmanager
+def counted_run(files: int, stages: str):
+    """A run's metrics registry, for a ``with`` block that also opens its
+    ``scheduler.run`` span: the run's files and wall time count into it,
+    and it reaches the process registry once, whole, when the block
+    ends."""
+    registry = MetricsRegistry()
+    registry.counter(FILES).inc(files)
+    started = time.perf_counter()
+    try:
+        with trace.span("scheduler.run", stages=stages, items=files):
+            yield registry
+    finally:
+        registry.counter(WALL).inc(time.perf_counter() - started)
+        get_metrics().merge(registry)
+
+
+class StageCounters:
+    """One stage's instruments in a run's registry, fetched once."""
+
+    def __init__(self, registry: MetricsRegistry, stage: str):
+        self.stage = stage
+        self.items = registry.counter("pipeline_stage_items_total", stage=stage)
+        self.errors = registry.counter("pipeline_stage_errors_total", stage=stage)
+        self.seconds = registry.histogram(STAGE_SECONDS, stage=stage)
+        self.passed = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="passed")
+        self.failed = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="failed")
+        self.skipped = registry.counter(STAGE_OUTCOMES, stage=stage, outcome="skipped")
+        self.simulated = registry.counter(STAGE_SIMULATED, stage=stage)
+
+    def done(self, busy: float, ok: bool | None, simulated: float) -> None:
+        """Count one call that returned after ``busy`` seconds; ``ok=None``
+        records no pass/fail and no simulated time."""
+        self.seconds.observe(busy)
+        self.items.inc()
+        if ok is not None:
+            (self.passed if ok else self.failed).inc()
+            self.simulated.inc(simulated)
+
+    def error(self, busy: float) -> None:
+        """Count one call that raised after ``busy`` seconds."""
+        self.seconds.observe(busy)
+        self.failed.inc()
+        self.errors.inc()
 
 
 class StageCounts(NamedTuple):

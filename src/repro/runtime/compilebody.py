@@ -112,10 +112,8 @@ class LoweredProgram:
 def lower_unit(unit: ast.TranslationUnit) -> LoweredProgram:
     """Lower ``unit``, memoizing the result on the unit object.
 
-    Cached compile results (see :class:`repro.cache.wrappers.
-    CachingCompiler`) share their unit, so repeated executions of the
-    same program — worker scaling, ablations, re-judging — skip
-    lowering entirely.
+    Repeated executions of one unit (the differential oracle's arms,
+    say) lower it once.
     """
     program = getattr(unit, "_lowered_program", None)
     if program is None:

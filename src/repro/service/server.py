@@ -69,11 +69,23 @@ from repro.testing.faultinject import fault_point
 #: the largest request body read (the client sends at most 16 files)
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: seconds a handler waits on a silent client: a body that stalls this
+#: long gets a 408, a stalled request line or header a closed
+#: connection, so no client holds a handler thread (and with it the
+#: drain, which joins handlers) open
+READ_TIMEOUT_S = 5.0
+
 
 class BodyTooLarge(ProtocolError):
     """``Content-Length`` above :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
     status = 413
+
+
+class BodyStalled(ProtocolError):
+    """The request body stopped arriving for :data:`READ_TIMEOUT_S` (HTTP 408)."""
+
+    status = 408
 
 
 @dataclass
@@ -98,8 +110,6 @@ class ValidationService:
         self,
         cache=None,
         model_seed: int = 20240822,
-        threads: int = 2,
-        judge_workers: int = 1,
         max_batch_size: int = 8,
         max_latency: float = 0.02,
         queue_capacity: int = 64,
@@ -130,8 +140,6 @@ class ValidationService:
             self.jobs.start()
         self.model_seed = model_seed
         self.model = DeepSeekCoderSim(seed=model_seed)
-        self.threads = threads
-        self.judge_workers = judge_workers
         self.started_at = time.monotonic()
         self._validators: dict[object, TestsuiteValidator] = {}
         self._validators_lock = threading.Lock()
@@ -148,8 +156,6 @@ class ValidationService:
                 workers,
                 WorkerConfig(
                     model_seed=model_seed,
-                    threads=threads,
-                    judge_workers=judge_workers,
                     cache_dir=(
                         None
                         if cache is None or cache.cache_dir is None
@@ -374,12 +380,10 @@ class ValidationService:
                     flavor=options.flavor,
                     judge_kind=options.judge,
                     early_exit=options.early_exit,
-                    workers=self.threads,
-                    judge_workers=self.judge_workers,
+                    workers=1,
                     model=self.model,
                     cache=self.cache,
                     execution_backend=options.backend,
-                    in_process=True,
                 )
                 self._validators[options] = validator
             return validator
@@ -489,6 +493,7 @@ def make_server(
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "llm4vv-service/1.0"
+    timeout = READ_TIMEOUT_S  # socket timeout for every read and write
 
     # -- helpers -------------------------------------------------------
 
@@ -529,7 +534,13 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True  # the rest of the body may still come
+            raise BodyStalled(
+                f"request body stalled: no bytes for {READ_TIMEOUT_S:g} s"
+            ) from None
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:

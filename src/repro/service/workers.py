@@ -84,15 +84,11 @@ class WorkerBatchError(RuntimeError):
 class WorkerConfig:
     """Everything a worker needs to rebuild the validation stack.
 
-    Picklable on purpose (it crosses the spawn boundary).  ``threads``
-    and ``judge_workers`` are the per-pipeline *thread* pools — the
-    same knobs the in-process service uses — so a worker batch runs
-    under exactly the configuration the parent would have used.
+    Picklable on purpose (it crosses the spawn boundary).  A worker
+    batch validates in-process, as the in-process service does.
     """
 
     model_seed: int = 20240822
-    threads: int = 2
-    judge_workers: int = 1
     #: shared flock-safe cache directory, or None for a private
     #: in-memory cache (still correct, just cold per worker)
     cache_dir: str | None = None
@@ -227,12 +223,10 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 flavor=options.flavor,
                 judge_kind=options.judge,
                 early_exit=options.early_exit,
-                workers=config.threads,
-                judge_workers=config.judge_workers,
+                workers=1,
                 model=model,
                 cache=cache,
                 execution_backend=options.backend,
-                in_process=True,
             )
             validators[options] = validator
         return validator

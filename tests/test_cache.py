@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,18 +12,15 @@ import pytest
 from repro.cache.bundle import NAMESPACE_NAMES, PipelineCache, lookup_counts
 from repro.cache.keys import compile_key, content_key, execute_key, judge_key
 from repro.cache.store import Codec, ResultCache
-from repro.cache.wrappers import (
-    CachingAgentJudge,
-    CachingCompiler,
-    CachingDirectJudge,
-    CachingExecutor,
-)
+from repro.cache.wrappers import CachingAgentJudge, CachingDirectJudge
 from repro.compiler.driver import Compiler
 from repro.corpus.generator import TestFile
 from repro.judge.llmj import AgentLLMJ, DirectLLMJ, JudgeResult
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs.metrics import get_metrics
-from repro.pipeline.engine import PipelineConfig, ValidationPipeline
+from repro.pipeline.engine import (
+    PipelineConfig, ValidationPipeline, cached, compile_file, execute_file,
+)
 from repro.runtime.executor import Executor
 
 
@@ -98,41 +96,65 @@ class TestResultCache:
         assert cache.load() == 0
 
 
-class TestCachingCompiler:
-    def test_hit_returns_same_result(self, valid_acc_source):
-        store = ResultCache("compile")
-        compiler = CachingCompiler(Compiler("acc"), store)
-        first = compiler.compile(valid_acc_source, "t.c")
-        second = compiler.compile(valid_acc_source, "t.c")
-        assert first is second
-        assert store.hits == 1 and store.misses == 1
+class TestCompileCache:
+    def test_hit_returns_the_stored_entry_without_its_unit(self, valid_acc_source):
+        cache = PipelineCache()
+        test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
+        first = compile_file(Compiler("acc"), test, cached(cache))
+        second = compile_file(Compiler("acc"), test, cached(cache))
+        assert first.unit is not None and second.unit is None
+        assert second == replace(first, unit=None, info=None)
+        assert cache.compile.hits == 1 and cache.compile.misses == 1
 
     def test_different_filename_misses(self, valid_acc_source):
-        store = ResultCache("compile")
-        compiler = CachingCompiler(Compiler("acc"), store)
-        compiler.compile(valid_acc_source, "t.c")
-        compiler.compile(valid_acc_source, "u.c")
-        assert store.misses == 2
+        cache = PipelineCache()
+        for name in ("t.c", "u.c"):
+            test = TestFile(name, "c", "acc", valid_acc_source, "x")
+            compile_file(Compiler("acc"), test, cached(cache))
+        assert cache.compile.misses == 2
 
 
-class TestCachingExecutor:
+class TestExecuteCache:
     def test_hit_skips_reinterpretation(self, valid_acc_source):
-        compiled = Compiler("acc").compile(valid_acc_source, "t.c")
-        store = ResultCache("execute")
-        executor = CachingExecutor(Executor(step_limit=2_000_000), store)
-        first = executor.run(compiled)
-        second = executor.run(compiled)
+        cache = PipelineCache()
+        test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
+        compiler, executor = Compiler("acc"), Executor(step_limit=2_000_000)
+        compiled = compile_file(compiler, test, cached(cache))
+        first = execute_file(compiler, executor, test, compiled, cached(cache))
+        second = execute_file(compiler, executor, test, compiled, cached(cache))
         assert first.returncode == 0
         assert first is second
-        assert store.hits == 1
+        assert cache.execute.hits == 1
 
     def test_uncachable_result_executes_without_store(self, valid_acc_source):
+        cache = PipelineCache()
+        test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
         compiled = Compiler("acc").compile(valid_acc_source, "t.c")
         compiled.content_key = ""  # e.g. hand-built results in tests
-        store = ResultCache("execute")
-        executor = CachingExecutor(Executor(step_limit=2_000_000), store)
-        assert executor.run(compiled).returncode == 0
-        assert len(store) == 0
+        executor = Executor(step_limit=2_000_000)
+        executed = execute_file(Compiler("acc"), executor, test, compiled, cached(cache))
+        assert executed.returncode == 0
+        assert len(cache.execute) == 0
+        assert cache.execute.hits == cache.execute.misses == 0
+
+    def test_a_cached_compile_is_compiled_from_source_before_it_runs(
+        self, valid_acc_source
+    ):
+        """The rule: on an execute-cache miss, a compile the cache served
+        (without its unit) is compiled again from source."""
+        cache = PipelineCache()
+        test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
+        compiler = Compiler("acc")
+        compile_file(compiler, test, cached(cache))
+        served = compile_file(compiler, test, cached(cache))
+        assert served.unit is None
+        executed = execute_file(
+            compiler, Executor(step_limit=2_000_000), test, served, cached(cache)
+        )
+        assert executed == Executor(step_limit=2_000_000).run(
+            compiler.compile(valid_acc_source, "t.c")
+        )
+        assert cache.execute.misses == 1
 
 
 class TestCachingJudges:
@@ -175,7 +197,7 @@ class TestPersistence:
         judge = CachingDirectJudge(DirectLLMJ(model, "acc"), first.judge)
         verdict = judge.judge(test)
         compiled = Compiler("acc").compile(valid_acc_source, "t.c")
-        CachingExecutor(Executor(), first.execute).run(compiled)
+        execute_file(Compiler("acc"), Executor(), test, compiled, cached(first))
         first.save()
         assert (tmp_path / "judge.json").exists()
         assert (tmp_path / "execute.json").exists()
@@ -188,7 +210,8 @@ class TestPersistence:
 
     def test_compile_namespace_is_memory_only(self, tmp_path, valid_acc_source):
         cache = PipelineCache(cache_dir=tmp_path)
-        CachingCompiler(Compiler("acc"), cache.compile).compile(valid_acc_source, "t.c")
+        test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
+        compile_file(Compiler("acc"), test, cached(cache))
         cache.save()
         assert not (tmp_path / "compile.json").exists()
 

@@ -56,17 +56,6 @@ class TestTranslation:
         assert compiled.unit._codegen_program is program
         assert a == b
 
-    def test_cached_compile_shares_codegen_program(self):
-        from repro.cache.store import ResultCache
-        from repro.cache.wrappers import CachingCompiler
-
-        caching = CachingCompiler(Compiler(model="acc"), ResultCache("compile"))
-        src = "int main() { return 3; }"
-        a = caching.compile(src, "t.c")
-        b = caching.compile(src, "t.c")
-        assert a.unit is b.unit
-        assert compile_unit(a.unit) is compile_unit(b.unit)
-
     def test_only_bodies_are_translated(self):
         compiled = compile_source(
             "double frexp2(double x);\n"

@@ -24,19 +24,6 @@ class TestLowering:
         assert first is second
         assert isinstance(first, LoweredProgram)
 
-    def test_cached_compile_shares_lowered_program(self):
-        """Recompiling the same source through a caching compiler hands
-        back the same unit, hence the same lowered program."""
-        from repro.cache.store import ResultCache
-        from repro.cache.wrappers import CachingCompiler
-
-        caching = CachingCompiler(Compiler(model="acc"), ResultCache("compile"))
-        src = "int main() { return 3; }"
-        a = caching.compile(src, "t.c")
-        b = caching.compile(src, "t.c")
-        assert a.unit is b.unit
-        assert lower_unit(a.unit) is lower_unit(b.unit)
-
     def test_only_bodies_are_lowered(self):
         compiled = compile_unit(
             "double frexp2(double x);\n"

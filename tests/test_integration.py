@@ -62,7 +62,7 @@ class TestProbedPipelineIntegration:
             probed = NegativeProber(seed=4).probe(TestSuite("d", "acc", files))
             model = DeepSeekCoderSim(seed=5)
             pipeline = ValidationPipeline(
-                PipelineConfig(flavor="acc", early_exit=False, judge_workers=2),
+                PipelineConfig(flavor="acc", early_exit=False),
                 model=model,
             )
             result = pipeline.run(list(probed))

@@ -32,9 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(judge_kind="other")
 
-    def test_worker_minimum(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(compile_workers=0)
+    def test_thread_knobs_are_gone(self):
+        for knob in ("compile_workers", "execute_workers", "judge_workers",
+                     "queue_capacity"):
+            with pytest.raises(TypeError):
+                PipelineConfig(**{knob: 1})
 
 
 class TestPipelineRun:
@@ -47,11 +49,8 @@ class TestPipelineRun:
 
     def test_output_order_matches_input(self, valid_acc_source, model):
         tests = make_tests(valid_acc_source, 8)
-        pipeline = ValidationPipeline(
-            PipelineConfig(compile_workers=4, execute_workers=4, judge_workers=2),
-            model=model,
-        )
-        result = pipeline.run(tests)
+        pipeline = ValidationPipeline(PipelineConfig(), model=model)
+        result = pipeline.run(tests, processes=4)
         assert [r.test.name for r in result.records] == [t.name for t in tests]
 
     def test_early_exit_skips_judge(self, valid_acc_source, model):
@@ -100,13 +99,8 @@ int main() {
         tests = make_tests(valid_acc_source, 6)
         verdicts = []
         for workers in (1, 4):
-            pipeline = ValidationPipeline(
-                PipelineConfig(
-                    compile_workers=workers, execute_workers=workers, judge_workers=workers
-                ),
-                model=DeepSeekCoderSim(seed=31),
-            )
-            result = pipeline.run(tests)
+            pipeline = ValidationPipeline(PipelineConfig(), model=DeepSeekCoderSim(seed=31))
+            result = pipeline.run(tests, processes=workers)
             verdicts.append([r.pipeline_says_valid for r in result.records])
         assert verdicts[0] == verdicts[1]
 

@@ -1,12 +1,14 @@
 """A pooled validation run against its in-process spec.
 
-``TestsuiteValidator(workers=N >= 2)`` compiles and executes each run's
-files in a run-scoped :class:`~repro.pipeline.pool.ComputePool`;
-``workers=1`` is the in-process spec.  These tests hold the pooled run
-to that spec on the 72-file probed corpus: verdict bytes (fork and
-spawn), stage and cache counts, what it leaves in a shared cache, where
-its spans hang, and what a dead worker does.  The daemon must never
-open the pool: it already parallelises across processes.
+``TestsuiteValidator(workers=N >= 2)`` runs each file's compile →
+execute → judge chain as one task in a run-scoped
+:class:`~repro.pipeline.pool.ComputePool`; ``workers=1`` calls the
+chain in a loop, the in-process spec.  These tests hold the pooled run
+to that spec on the 72-file probed corpus: verdict bytes, stage and
+cache counts (fork and spawn, early-exit and record-all), what it
+leaves in a shared cache, where its spans hang, and what a dead worker
+does.  The daemon must never open the pool: it already parallelises
+across processes.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from pathlib import Path
 import pytest
 
 from repro.cache.bundle import PipelineCache
-from repro.cache.wrappers import CachingCompiler
 from repro.cache.keys import compile_key
 from repro.compiler.driver import Compiler
 from repro.core.validator import TestsuiteValidator
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.suite import TestSuite
+from repro.llm.model import DeepSeekCoderSim
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import Tracer, installed
 from repro.pipeline import engine
@@ -96,29 +98,81 @@ def _counts(delta: dict) -> dict:
     return counts
 
 
+def _run(corpus, **validator_args) -> tuple[dict, dict]:
+    """The verdict bytes and the stage, file and cache-lookup counts of
+    one validation of ``corpus``."""
+    baseline = get_metrics().export_state()
+    verdicts = _verdicts(corpus, **validator_args)
+    return verdicts, _counts(get_metrics().diff(baseline)[0])
+
+
 class TestPooledIdentity:
+    @pytest.mark.parametrize("early_exit", [True, False], ids=["early-exit", "record-all"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_verdict_bytes_equal_the_in_process_run(
-        self, corpus, reference, start_method, monkeypatch
+    def test_verdict_bytes_and_counts_equal_the_in_process_run(
+        self, corpus, reference, start_method, early_exit, monkeypatch
     ):
         from repro.experiments import sharding
 
+        expected = _run(corpus, workers=1, early_exit=early_exit, cache=PipelineCache())
+        if early_exit:
+            assert expected[0] == reference
         monkeypatch.setattr(sharding, "default_start_method", lambda: start_method)
-        assert _verdicts(corpus, workers=2, cache=PipelineCache()) == reference
+        pooled = _run(corpus, workers=2, early_exit=early_exit, cache=PipelineCache())
+        assert pooled[0] == expected[0]
+        assert pooled[1] == expected[1]
+        counts = expected[1]
+        assert counts[("pipeline_files_total", ())] == 72
+        judged = counts[("pipeline_stage_items_total", (("stage", "judge"),))]
+        assert 0 < judged < 72 if early_exit else judged == 72
+        assert any(key[0] == "cache_lookups_total" for key in counts)
         assert multiprocessing.active_children() == []
 
     def test_uncached_pooled_run_matches_too(self, corpus, reference):
         assert _verdicts(corpus, workers=2) == reference
 
-    def test_stage_and_cache_counts_equal_the_in_process_run(self, corpus):
-        counts = []
+    def test_a_model_the_workers_cannot_rebuild_keeps_the_run_in_process(
+        self, corpus, monkeypatch
+    ):
+        """Workers rebuild a plain simulator from its seed; any other
+        model judges in this process."""
+
+        class Contrarian(DeepSeekCoderSim):
+            def generate(self, prompt: str, attempt: int = 0) -> str:
+                return super().generate(prompt + " ", attempt)
+
+        files = corpus["acc"]
+        expected = _verdicts({"acc": files}, workers=1, model=Contrarian(seed=3))
+        opened = refuse_pools(monkeypatch)
+        assert _verdicts({"acc": files}, workers=2, model=Contrarian(seed=3)) == expected
+        assert opened == []
+
+    def test_a_pooled_run_counts_its_judgments_into_the_model(self, corpus):
+        """The workers judge with rebuilt models; their calls count into
+        the model the caller passed, as an in-process run's do."""
+        totals = []
         for workers in (1, 2):
-            baseline = get_metrics().export_state()
-            _verdicts(corpus, workers=workers, cache=PipelineCache())
-            counts.append(_counts(get_metrics().diff(baseline)[0]))
-        assert counts[0][("pipeline_files_total", ())] == 72
-        assert any(key[0] == "cache_lookups_total" for key in counts[0])
-        assert counts[1] == counts[0]
+            model = DeepSeekCoderSim(seed=3)
+            TestsuiteValidator(
+                flavor="acc", workers=workers, model=model, cache=PipelineCache()
+            ).validate(corpus["acc"])
+            totals.append(model.stats.totals())
+        calls, prompt_tokens, completion_tokens, simulated, malformed = totals[1]
+        assert (calls, prompt_tokens, completion_tokens, malformed) == (
+            totals[0][:3] + totals[0][4:]
+        )
+        assert simulated == pytest.approx(totals[0][3])
+        assert calls > 0
+
+    def test_an_in_process_run_starts_no_thread(self, corpus, reference, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"thread {self.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        files = corpus["acc"]
+        for _ in range(2):  # cold, then warm
+            verdicts = _verdicts({"acc": files}, workers=1, cache=PipelineCache())
+        assert verdicts == {t.name: reference[t.name] for t in files}
 
 
 class TestPooledCache:
@@ -161,11 +215,47 @@ class TestPooledCache:
         assert lookups[("compile", "hit")] == len(files)
         assert not any(result == "miss" for _, result in lookups)
 
+    def test_a_cache_loaded_from_disk_computes_no_judgment(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """The compile cache is memory-only, so a cache loaded from disk
+        holds execute and judge entries without the compiles they came
+        from.  A pooled run over it judges nothing again: the cached
+        judgments are served here, not recomputed in a worker."""
+        from repro.experiments import sharding
+        from repro.judge.llmj import AgentLLMJ
+
+        files = corpus["acc"]
+        assert len(files) >= engine.MIN_POOLED_FILES
+        config = PipelineConfig(flavor="acc")
+        first = PipelineCache(cache_dir=tmp_path)
+        expected = ValidationPipeline(config, cache=first).run(files)
+        first.save()
+        warm = PipelineCache(cache_dir=tmp_path)
+        assert warm.load() > 0 and len(warm.compile) == 0
+
+        def refuse(self, test, report=None):
+            raise AssertionError(f"{test.name} was judged again")
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(sharding, "default_start_method", lambda: "fork")
+        monkeypatch.setattr(AgentLLMJ, "judge", refuse)
+        model = DeepSeekCoderSim()
+        baseline = get_metrics().export_state()
+        served = ValidationPipeline(config, model=model, cache=warm).run(files, processes=2)
+        lookups = _lookups(get_metrics().diff(baseline)[0])
+        assert [_record_facts(r) for r in served.records] == [
+            _record_facts(r) for r in expected.records
+        ]
+        judged = sum(1 for r in expected.records if r.judge_result is not None)
+        assert lookups[("judge", "hit")] == judged > 0
+        assert ("judge", "miss") not in lookups
+        assert model.stats.calls == 0
+
     def test_a_unitless_compile_entry_is_compiled_again_before_it_runs(self, corpus):
-        """A pooled fill stores successful compiles without their unit
-        (the worker kept it).  A run under another step limit misses
-        the execute cache on them and must run the real program, and a
-        caller outside the pipeline must get the unit back."""
+        """Compile-cache entries carry no unit.  A run under another step
+        limit hits the compile cache and misses the execute cache, so it
+        must compile from source and run the real program."""
         files = corpus["acc"]
         cache = PipelineCache()
         ValidationPipeline(PipelineConfig(flavor="acc"), cache=cache).run(
@@ -173,9 +263,9 @@ class TestPooledCache:
         )
         fingerprint = Compiler(model="acc").fingerprint()
         keys = [compile_key(fingerprint, t.name, t.source) for t in files]
-        unitless = [k for k in keys if cache.compile.peek(k).ok
-                    and cache.compile.peek(k).unit is None]
-        assert unitless, "the pooled fill left no unit-less entry to test"
+        compiled = [cache.compile.peek(k) for k in keys]
+        assert all(c.unit is None for c in compiled)
+        assert any(c.ok for c in compiled), "the pooled fill compiled nothing"
 
         config = PipelineConfig(flavor="acc", step_limit=2_999_999)
         expected = ValidationPipeline(config).run(files)
@@ -183,13 +273,7 @@ class TestPooledCache:
         assert [_record_facts(r) for r in served.records] == [
             _record_facts(r) for r in expected.records
         ]
-
-        test = next(t for t, k in zip(files, keys) if k == unitless[0])
-        rebuilt = CachingCompiler(Compiler(model="acc"), cache.compile).compile(
-            test.source, test.name
-        )
-        assert rebuilt.unit is not None
-        assert cache.compile.peek(unitless[0]).unit is not None
+        assert all(cache.compile.peek(k).unit is None for k in keys)
 
 
 def _record_facts(record) -> tuple:
@@ -240,43 +324,40 @@ class TestSmallRuns:
 
 
 class TestPooledTracing:
-    def test_worker_spans_hang_under_the_dispatching_stage_span(self, corpus):
+    def test_worker_spans_hang_under_the_run_span(self, corpus):
         tracer = Tracer()
         files = corpus["acc"]
         with installed(tracer):
             TestsuiteValidator(flavor="acc", cache=PipelineCache()).validate(files)
         spans = tracer.spans
-        stages = {
-            s.span_id: s for s in spans
-            if s.name == "stage.compile" and s.pid == os.getpid()
-        }
+        by_id = {s.span_id: s for s in spans}
         remote = [s for s in spans if s.name == "worker.pipeline"]
         assert len(remote) == len(files)
-        assert all(s.pid != os.getpid() for s in remote)
         for span in remote:
-            parent = stages[span.parent_id]
-            assert span.trace_id == parent.trace_id
-            assert span.attrs["file"] == parent.attrs["file"]
-            # submitted before the stage span opened: clipped to it, so
-            # the stage's self time is never driven negative
-            assert parent.start <= span.start <= span.end <= parent.end
+            run = by_id[span.parent_id]
+            assert run.name == "scheduler.run" and run.pid == os.getpid()
+            assert span.pid != os.getpid()
+            assert span.trace_id == run.trace_id
+            assert run.start <= span.start <= span.end <= run.end
+        # each file's stage spans hang under its worker's span
+        stages = [s for s in spans if s.name.startswith("stage.")]
+        assert {s.name for s in stages} == {"stage.compile", "stage.execute", "stage.judge"}
+        for span in stages:
+            worker = by_id[span.parent_id]
+            assert worker.name == "worker.pipeline"
+            assert worker.attrs["file"] == span.attrs["file"]
 
 
 class TestPooledSharedOutcomes:
     def test_twin_files_under_contention_absorb_each_outcome_once(self, corpus):
-        """Four compile threads over a run where every file appears
-        twice: both twins read one pooled outcome, and its telemetry is
-        absorbed exactly once."""
+        """A run where every file appears twice: the pool computes each
+        outcome once, its telemetry is absorbed once, and each twin's
+        chain runs here after it."""
         files = corpus["acc"][: engine.MIN_POOLED_FILES] * 2
         expected = TestsuiteValidator(flavor="acc", workers=1).validate(files)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            tracer = Tracer()
-            with installed(tracer):
-                pooled = TestsuiteValidator(flavor="acc", workers=4).validate(files)
-        finally:
-            sys.setswitchinterval(interval)
+        tracer = Tracer()
+        with installed(tracer):
+            pooled = TestsuiteValidator(flavor="acc", workers=4).validate(files)
         assert [encode_verdict(j) for j in pooled.files] == [
             encode_verdict(j) for j in expected.files
         ]
@@ -410,7 +491,7 @@ class TestDaemonStaysInProcess:
         )
         # fork: the daemon's pool workers inherit the refusing ComputePool
         service = ValidationService(
-            workers=workers, threads=2, max_latency=0.005, worker_start_method="fork"
+            workers=workers, max_latency=0.005, worker_start_method="fork"
         )
         try:
             request = ValidateRequest(

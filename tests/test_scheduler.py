@@ -4,8 +4,7 @@ import threading
 
 import pytest
 
-from repro.pipeline.scheduler import StageScheduler, run_stage
-from repro.pipeline.stages import Stage, StageOutcome
+from repro.pipeline.scheduler import Stage, StageOutcome, StageScheduler
 from repro.obs.metrics import get_metrics, series
 from repro.pipeline.stats import PipelineStats
 
@@ -54,7 +53,7 @@ class ExplodingStage(Stage):
 
 class TestSchedulerBasics:
     def test_single_stage_processes_everything(self):
-        result = run_stage(DoublingStage(), [1, 2, 3, 4])
+        result = StageScheduler([DoublingStage()]).run([1, 2, 3, 4])
         assert sorted(result.finished) == [2, 4, 6, 8]
         assert result.ok
         assert result.stats["double"].processed == 4
@@ -69,17 +68,17 @@ class TestSchedulerBasics:
 
     def test_items_flow_through_last_stage_to_finished(self):
         # a non-terminal outcome at the last stage finishes the item
-        result = run_stage(PassStage("only"), [[]])
+        result = StageScheduler([PassStage("only")]).run([[]])
         assert result.finished == [["only"]]
 
     def test_empty_input(self):
-        result = run_stage(DoublingStage(), [])
+        result = StageScheduler([DoublingStage()]).run([])
         assert result.finished == []
         assert result.stats["double"].processed == 0
 
     def test_run_counts_reach_the_process_registry_once(self):
         baseline = get_metrics().export_state()
-        result = run_stage(DoublingStage(), [1, 2])
+        result = StageScheduler([DoublingStage()]).run([1, 2])
         applied = PipelineStats(get_metrics().diff(baseline)[0], ["double"])
         assert applied.snapshot() == result.stats.snapshot()
         assert applied["double"].processed == 2 and applied.files_total == 2
@@ -161,7 +160,7 @@ class SinkStage(Stage):
 class TestErrorContainment:
     def test_raising_stage_does_not_hang_shutdown(self):
         """A stage exception must drain the run, not deadlock join()."""
-        result = run_stage(ExplodingStage(), ["ok1", "boom", "ok2"])
+        result = StageScheduler([ExplodingStage()]).run(["ok1", "boom", "ok2"])
         assert len(result.finished) == 3  # the failed item still drains
         assert len(result.errors) == 1
         assert result.errors[0].stage == "explode"
@@ -172,7 +171,7 @@ class TestErrorContainment:
 
     def test_all_worker_threads_join(self):
         before = threading.active_count()
-        run_stage(ExplodingStage(), ["boom"] * 8)
+        StageScheduler([ExplodingStage()]).run(["boom"] * 8)
         assert threading.active_count() == before
 
 
@@ -246,7 +245,7 @@ class TestRunCounters:
 
     def test_errored_items_are_failed_timed_and_counted_as_errors(self):
         baseline = get_metrics().export_state()
-        result = run_stage(ExplodingStage(), ["ok1", "boom", "ok2"])
+        result = StageScheduler([ExplodingStage()]).run(["ok1", "boom", "ok2"])
         assert self._applied(baseline, "pipeline_stage_errors_total", stage="explode") == [1.0]
         assert self._applied(baseline, "pipeline_stage_items_total", stage="explode") == [2.0]
         [seconds] = self._applied(baseline, "pipeline_stage_seconds", stage="explode")
@@ -262,7 +261,7 @@ class TestRunCounters:
                     return StageOutcome(payload, done=True)  # ok=None
                 return StageOutcome(payload, ok=True, done=True, simulated_seconds=2.5)
 
-        result = run_stage(CostedStage(), ["a", "b", "route"])
+        result = StageScheduler([CostedStage()]).run(["a", "b", "route"])
         costed = result.stats["costed"]
         assert costed.processed == 2  # ok=None records no pass/fail
         assert costed.simulated_seconds == 5.0
@@ -312,31 +311,7 @@ class TestWorkerState:
                 assert state is not None
                 return StageOutcome(payload, ok=True, done=True)
 
-        result = run_stage(StatefulStage(), list(range(12)))
+        result = StageScheduler([StatefulStage()]).run(list(range(12)))
         assert result.ok
         assert len(built) == 3
         assert len(set(built)) == 3  # one state per distinct thread
-
-
-class TestPipelineExtension:
-    def test_extra_stage_stats_surface(self, valid_acc_source, model):
-        """stages() is the override point; added stages must keep stats."""
-        from repro.corpus.generator import TestFile
-        from repro.pipeline.engine import PipelineConfig, ValidationPipeline
-
-        class CountStage(Stage):
-            name = "count"
-
-            def process(self, payload, state):
-                return StageOutcome(payload, ok=True)
-
-        class ExtendedPipeline(ValidationPipeline):
-            def stages(self):
-                compile_, execute, judge = super().stages()
-                return [compile_, execute, CountStage(), judge]
-
-        files = [TestFile("t.c", "c", "acc", valid_acc_source, "x")]
-        result = ExtendedPipeline(PipelineConfig(), model=model).run(files)
-        assert result.stats["count"].processed == 1
-        assert "count" in result.stats.summary()["stages"]
-        assert result.records[0].pipeline_says_valid in (True, False)

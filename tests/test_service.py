@@ -12,6 +12,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from repro.service.protocol import (
     decode_verdict,
     encode_verdict,
 )
+from repro.service import server as server_module
 from repro.service.server import make_server
 
 
@@ -688,6 +690,44 @@ class TestHTTPService:
             server.shutdown()
             server.server_close()
             thread.join(10.0)
+
+
+class TestStalledClient:
+    def test_a_stalled_body_cannot_hold_the_drain_open(self):
+        """A client that sends its headers and part of its body, then
+        goes silent, gets a 408 (or a closed connection) once the read
+        timeout passes, and the drain and close finish meanwhile."""
+        server = make_server(port=0, max_latency=0.01)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        stalled = socket.create_connection((host, port), timeout=60)
+        try:
+            stalled.sendall(
+                b"POST /v1/validate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                b'{"files":'
+            )
+            time.sleep(0.2)  # the handler is now blocked on the body
+
+            def drain_and_close() -> None:
+                server.drain_and_shutdown(timeout=5)
+                server.server_close()
+
+            closer = threading.Thread(target=drain_and_close, daemon=True)
+            closer.start()
+            closer.join(server_module.READ_TIMEOUT_S + 5)
+            assert not closer.is_alive(), "a stalled client held the drain open"
+            reply = b""
+            while chunk := stalled.recv(65536):
+                reply += chunk
+        finally:
+            stalled.close()
+            thread.join(10.0)
+        if reply:
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"408", head
+            assert "stalled" in json.loads(body)["error"]
 
 
 class TestHTTPServiceUnderPool:
