@@ -137,7 +137,11 @@ def _main(argv: list[str] | None = None) -> int:
     add_cache_flags(p_validate)
     add_backend_flag(p_validate)
 
-    p_generate = sub.add_parser("generate", help="generate a synthetic V&V corpus")
+    p_generate = sub.add_parser(
+        "generate",
+        help="generate a synthetic V&V corpus; every file must compile and run"
+        " clean, checked in 2 worker processes for 24 files or more",
+    )
     p_generate.add_argument("--flavor", choices=("acc", "omp"), default="acc")
     p_generate.add_argument("--count", type=int, default=50)
     p_generate.add_argument("--languages", default="c,cpp")
@@ -519,10 +523,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.corpus.generator import CorpusGenerator
     from repro.corpus.suite import TestSuite
+    from repro.pipeline.pool import ComputeWorkerCrash
 
     languages = tuple(args.languages.split(","))
     generator = CorpusGenerator(seed=args.seed, execution_backend=args.backend)
-    files = generator.generate(args.flavor, args.count, languages=languages)
+    try:
+        files = generator.generate(args.flavor, args.count, languages=languages)
+    except ComputeWorkerCrash as exc:
+        print(f"generate: {exc}", file=sys.stderr)
+        return 3
     suite = TestSuite(f"{args.flavor}-generated", args.flavor, files)
     out = suite.save(args.out)
     print(f"wrote {len(files)} tests to {out}")

@@ -154,6 +154,8 @@ class Experiments:
             step_limit=self.config.step_limit,
             execution_backend=self.config.execution_backend,
             cache=self.cache,
+            # shard cells run in daemonic pool workers, which cannot fork
+            workers=1,
         )
         files = generator.generate(flavor, count, languages=languages)
         suite = TestSuite(f"{flavor}-{tag}", flavor, files)

@@ -1,8 +1,8 @@
-"""One compute pool, two users: CPU-bound tasks in worker processes.
+"""One compute pool, three users: CPU-bound tasks in worker processes.
 
 Compile, execute and the judge are pure CPU work under the GIL, so
 threads keep about one core busy.  :class:`ComputePool` runs tasks in
-processes for two users:
+processes for three users:
 
 * the validation pipeline (:meth:`ValidationPipeline.run
   <repro.pipeline.engine.ValidationPipeline.run>` with ``processes >=
@@ -10,7 +10,11 @@ processes for two users:
   past the cache entries the parent already holds;
 * the fuzz campaign's differential oracle
   (:class:`~repro.fuzz.differential.DifferentialRunner`): one
-  :func:`compute` task per candidate, compiled and run under every arm.
+  :func:`compute` task per candidate, compiled and run under every arm;
+* corpus generation (:meth:`CorpusGenerator.generate
+  <repro.corpus.generator.CorpusGenerator.generate>` with ``workers >=
+  2``): one :func:`compute` task per rendered file, run under the
+  generator's backend alone.
 
 A task is a module-level function taking only picklable arguments, so
 it works under fork and spawn alike.  It runs through :func:`run_task`,
@@ -198,8 +202,9 @@ def compute(
     spec: ComputeSpec, toolchain: Toolchain, name: str, source: str,
     arms: tuple[str, ...], trace_ctx,
 ) -> tuple:
-    """The oracle's task (module-level: spawn-safe): compile ``source``
-    with ``toolchain`` and run it under each of ``arms``.
+    """The oracle's and the generator's task (module-level:
+    spawn-safe): compile ``source`` with ``toolchain`` and run it under
+    each of ``arms``.
 
     Its value is ``(compiled, results)``: ``compiled`` without its AST,
     ``results`` one ExecutionResult per arm (empty when the compile

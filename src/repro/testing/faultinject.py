@@ -70,6 +70,12 @@ Instrumented points in this repo (grep ``fault_point(`` for the list):
   :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming a file whose
   outcome was lost (``llm4vv validate`` exits 3), and leave no pool
   child alive.  Hit counts are per worker process.
+- ``corpus:worker-compute`` — in a pooled corpus generation's compute
+  pool worker, before it compiles and runs a rendered file.  ``kill``
+  here is "generator worker killed mid-file": ``generate`` must raise
+  :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming the file
+  (``llm4vv generate`` exits 3), and leave no pool child alive.  Hit
+  counts are per worker process.
 
 Stdlib-only on purpose: everything else in the package may import this
 module without creating a cycle.

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from repro.compiler.driver import Compiler
+from repro.compiler.driver import Compiler, CompileResult
 from repro.corpus.features import OPENACC_FEATURES, OPENMP_FEATURES, catalog, features_at_or_below
-from repro.corpus.generator import CorpusGenerator, TestFile, _issue_name
+from repro.corpus.generator import (
+    CorpusGenerator, CorpusValidationError, TestFile, _issue_name,
+)
 from repro.corpus.suite import TestSuite
 from repro.corpus.templates import TEMPLATES, TemplateContext, templates_for
 from repro.runtime.executor import Executor
@@ -86,6 +88,31 @@ class TestGenerator:
     def test_names_unique(self, acc_corpus):
         names = [t.name for t in acc_corpus]
         assert len(names) == len(set(names))
+
+    def test_a_compile_failure_without_stderr_names_the_file(self, monkeypatch):
+        """Pooled or not, the recorded failure keeps the file's name and
+        rc when the compiler prints nothing."""
+        from repro.experiments import sharding
+        from repro.pipeline.engine import MIN_POOLED_FILES
+
+        def silent_failure(self, source, filename="<input>"):
+            return CompileResult(
+                returncode=2, stdout="", stderr="", filename=filename, language="c"
+            )
+
+        monkeypatch.setattr(Compiler, "compile", silent_failure)
+        # fork: the pool's workers inherit the failing compiler
+        monkeypatch.setattr(sharding, "default_start_method", lambda: "fork")
+        failures = []
+        for workers in (1, 2):
+            generator = CorpusGenerator(seed=3, workers=workers)
+            with pytest.raises(CorpusValidationError):
+                generator.generate("acc", MIN_POOLED_FILES)
+            failures.append(generator.validation_failures)
+        assert failures[0] == failures[1]
+        first = failures[0][0]
+        assert first.startswith("acc_") and first.endswith("_0000.c: compile rc=2: ")
+        assert all(": compile rc=2: " in failure for failure in failures[0])
 
     def test_all_validated_files_run_clean(self, omp_corpus):
         compiler = Compiler(model="omp")

@@ -8,7 +8,8 @@ to that spec on the 72-file probed corpus: verdict bytes, stage and
 cache counts (fork and spawn, early-exit and record-all), what it
 leaves in a shared cache, where its spans hang, and what a dead worker
 does.  The daemon must never open the pool: it already parallelises
-across processes.
+across processes.  ``CorpusGenerator(workers=2)`` checks its rendered
+files in the same pool, and ``workers=1`` is its spec.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from repro.cache.bundle import PipelineCache
 from repro.cache.keys import compile_key
 from repro.compiler.driver import Compiler
 from repro.core.validator import TestsuiteValidator
-from repro.corpus.generator import CorpusGenerator
+from repro.corpus.generator import CorpusGenerator, CorpusValidationError
 from repro.corpus.suite import TestSuite
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import Tracer, installed
-from repro.pipeline import engine
+from repro.pipeline import engine, pool
 from repro.pipeline.engine import PipelineConfig, ValidationPipeline
 from repro.pipeline.pool import ComputeWorkerCrash
 from repro.probing.prober import NegativeProber
@@ -291,8 +292,9 @@ def _lookups(delta: dict) -> dict:
     }
 
 
-def refuse_pools(monkeypatch) -> list:
-    """Make opening a compute pool fail the test; returns the attempts."""
+def refuse_pools(monkeypatch, where=engine) -> list:
+    """Make opening a compute pool (as ``where`` names it) fail the
+    test; returns the attempts."""
     opened = []
 
     class Refused:
@@ -300,7 +302,7 @@ def refuse_pools(monkeypatch) -> list:
             opened.append(workers)
             raise AssertionError("a compute pool was opened")
 
-    monkeypatch.setattr(engine, "ComputePool", Refused)
+    monkeypatch.setattr(where, "ComputePool", Refused)
     return opened
 
 
@@ -418,15 +420,39 @@ def _write_sources(corpus, directory: Path) -> list[str]:
     return paths
 
 
-def _validate_cli(paths, *extra, fault=None):
+def _cli(*args, fault=None):
     env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
     env.pop(faultinject.ENV_VAR, None)
     if fault is not None:
         env[faultinject.ENV_VAR] = fault
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "validate", *paths, *extra],
+        [sys.executable, "-m", "repro.cli", *args],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+
+
+def _validate_cli(paths, *extra, fault=None):
+    return _cli("validate", *paths, *extra, fault=fault)
+
+
+def _assert_sigkill_leaves_no_worker(proc, needle: str) -> None:
+    """SIGKILL ``proc`` once its pool's two workers run (their command
+    lines mention ``needle``), then wait for every one of them to go."""
+    try:
+        deadline = time.monotonic() + 30
+        while len(_live_processes_mentioning(needle)) < 3:
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.1)
+        proc.send_signal(signal.SIGKILL)
+        proc.communicate(timeout=30)
+        deadline = time.monotonic() + 10
+        while _live_processes_mentioning(needle):
+            assert time.monotonic() < deadline, "a pool worker outlived its parent"
+            time.sleep(0.2)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 class TestValidateCLIPool:
@@ -458,21 +484,118 @@ class TestValidateCLIPool:
         proc = _validate_cli(
             paths, "--workers", "2", fault="pipeline:worker-compute=sleep:60"
         )
-        try:
-            deadline = time.monotonic() + 30
-            while len(_live_processes_mentioning(str(tmp_path))) < 3:
-                assert time.monotonic() < deadline, "the pool never started"
-                time.sleep(0.1)
-            proc.send_signal(signal.SIGKILL)
-            proc.communicate(timeout=30)
-            deadline = time.monotonic() + 10
-            while _live_processes_mentioning(str(tmp_path)):
-                assert time.monotonic() < deadline, "a pool worker outlived validate"
-                time.sleep(0.2)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+        _assert_sigkill_leaves_no_worker(proc, str(tmp_path))
+
+
+def _generate(workers: int, model: str, count: int, **generator_args) -> tuple:
+    """One generation's files by name and source (or the error it
+    raised), its recorded failures, and the registry's growth."""
+    generator = CorpusGenerator(seed=11, workers=workers, **generator_args)
+    baseline = get_metrics().export_state()
+    try:
+        files = [(t.name, t.source) for t in generator.generate(model, count)]
+    except CorpusValidationError as exc:
+        files = str(exc)
+    return files, generator.validation_failures, get_metrics().diff(baseline)[0]
+
+
+def count_pools(monkeypatch) -> list:
+    """Record the size of every compute pool the generator opens."""
+    opened = []
+
+    class Counted(pool.ComputePool):
+        def __init__(self, workers):
+            opened.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(pool, "ComputePool", Counted)
+    return opened
+
+
+class TestPooledGeneration:
+    """``CorpusGenerator(workers=2)`` renders every file first, checks
+    them in a compute pool and keeps them up to the first failure; the
+    rest run in-process.  The corpus, the failures and the counts equal
+    ``workers=1``'s."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "model, count, step_limit",
+        [("acc", 36, None), ("omp", 36, None), ("acc", 36, 20_000), ("acc", 30, 10)],
+        ids=["acc", "omp", "acc-failing-checks", "acc-every-check-failing"],
+    )
+    def test_pooled_corpus_equals_the_in_process_corpus(
+        self, model, count, step_limit, start_method, monkeypatch
+    ):
+        from repro.experiments import sharding
+
+        limit = {} if step_limit is None else {"step_limit": step_limit}
+        expected = _generate(1, model, count, **limit)
+        monkeypatch.setattr(sharding, "default_start_method", lambda: start_method)
+        opened = count_pools(monkeypatch)
+        assert _generate(2, model, count, **limit) == expected
+        assert opened == [2]
+        assert multiprocessing.active_children() == []
+        files, failures, _ = expected
+        if step_limit == 20_000:
+            # the very first file fails: the whole corpus runs in-process
+            assert len(failures) == 5
+            assert failures[0].startswith(f"{model}_") and "_0000." in failures[0]
+        elif step_limit == 10:
+            assert files.startswith(f"too many validation failures generating {model}")
+        else:
+            assert len(files) == count and failures == []
+
+    def test_a_small_or_cached_generation_starts_no_child(self, monkeypatch):
+        small = engine.MIN_POOLED_FILES - 1
+        expected = [
+            CorpusGenerator(seed=11, workers=1).generate("acc", count)
+            for count in (small, 36)
+        ]
+        refuse_pools(monkeypatch, where=pool)
+        assert CorpusGenerator(seed=11).generate("acc", small) == expected[0]
+        cached = CorpusGenerator(seed=11, cache=PipelineCache())
+        assert cached.generate("acc", 36) == expected[1]
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises_a_typed_error_naming_the_file(self, monkeypatch):
+        monkeypatch.setenv(faultinject.ENV_VAR, "corpus:worker-compute@2=kill")
+        names = [t.name for t in CorpusGenerator(seed=11, workers=1).generate("acc", 36)]
+        with pytest.raises(ComputeWorkerCrash) as raised:
+            CorpusGenerator(seed=11).generate("acc", 36)
+        message = str(raised.value)
+        assert "corpus worker process died while computing file '" in message
+        assert any(f"'{name}'" in message for name in names)
+        assert multiprocessing.active_children() == []
+
+
+class TestGenerateCLIPool:
+    def test_pooled_generate_writes_the_in_process_corpus(self, tmp_path):
+        proc = _cli("generate", "--flavor", "omp", "--count", "30", "--out", str(tmp_path))
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        expected = CorpusGenerator(seed=1234, workers=1).generate("omp", 30)
+        written = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        written.pop("manifest.json")
+        assert written == {t.name: t.source for t in expected}
+
+    def test_killed_worker_exits_3_with_the_message(self, tmp_path):
+        proc = _cli(
+            "generate", "--count", "30", "--out", str(tmp_path / "gen"),
+            fault="corpus:worker-compute@2=kill",
+        )
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3, err
+        assert "generate: a corpus worker process died while computing file '" in err
+        time.sleep(1.0)
+        assert not _live_processes_mentioning(str(tmp_path))
+
+    def test_sigkilled_pooled_generate_leaves_no_worker(self, tmp_path):
+        proc = _cli(
+            "generate", "--count", "30", "--out", str(tmp_path / "gen"),
+            fault="corpus:worker-compute=sleep:60",
+        )
+        _assert_sigkill_leaves_no_worker(proc, str(tmp_path))
 
 
 class TestDaemonStaysInProcess:
