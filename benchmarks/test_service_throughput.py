@@ -6,7 +6,7 @@ A load generator drives a live daemon (ephemeral port, in-process
 * **serial** — one client, one request at a time: every request pays
   its own batch window and its own pipeline run;
 * **concurrent** — many clients at once: the admission layer groups
-  them into micro-batches that share one StageScheduler run and one
+  them into micro-batches that share one pipeline run and one
   PipelineCache.
 
 Gates (the PR's acceptance criteria):

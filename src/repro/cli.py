@@ -22,9 +22,11 @@ Subcommands:
   campaign corpus.
 
 Every command shuts down gracefully: SIGTERM is mapped onto
-``KeyboardInterrupt``, in-flight schedulers drain via their sentinel
-path, and any configured cache flushes to disk before the process
-exits (so an interrupted sweep still warm-starts the next one).
+``KeyboardInterrupt``, which the running loop raises where it stands;
+a command's compute pool closes in its ``with`` block (no worker
+outlives it), and any configured cache flushes to disk before the
+process exits (so an interrupted sweep still warm-starts the next
+one).
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ def main(argv: list[str] | None = None) -> int:
 def _graceful_sigterm():
     """Map SIGTERM onto KeyboardInterrupt for the duration of a command.
 
-    One code path then covers Ctrl-C and a supervisor's TERM: the
-    scheduler's abort/drain runs, each command's ``finally`` persists
-    its cache, and the process exits 130 instead of dying mid-write.
+    One code path then covers Ctrl-C and a supervisor's TERM: the loop
+    raises, an open compute pool closes in its ``with`` block, each
+    command's ``finally`` persists its cache, and the process exits 130
+    instead of dying mid-write.
     Signal handlers only work on the main thread; elsewhere (tests
     driving ``main()`` from workers) this is a no-op.
     """
@@ -299,9 +302,9 @@ def _main(argv: list[str] | None = None) -> int:
     pf_run.add_argument("--languages", default="c,cpp")
     pf_run.add_argument("--step-limit", type=positive_int, default=300_000)
     pf_run.add_argument("--workers", type=positive_int, default=2,
-                        help="differential worker processes; mutate threads "
-                             "(1 runs the oracle in-process)")
-    pf_run.add_argument("--judge-workers", type=positive_int, default=2)
+                        help="compute pool worker processes, each running whole "
+                             "differential → triage chains (1 runs every chain "
+                             "in-process)")
     pf_run.add_argument(
         "--triage", choices=("divergent", "all", "off"), default="divergent",
         help="LLM-judge policy: divergent candidates only (default), "
@@ -510,8 +513,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
         return 0 if not report.invalid_files else 1
     finally:
-        # also reached on KeyboardInterrupt/SIGTERM: the scheduler has
-        # drained by now, so persist whatever work completed
+        # also reached on KeyboardInterrupt/SIGTERM: the run raised and
+        # its pool (if any) closed, so persist whatever work completed
         _finish_cache(cache, baseline, backend=args.backend)
         if tracer is not None:
             from repro.obs.export import write_span_log
@@ -962,7 +965,6 @@ def _fuzz_config(args: argparse.Namespace, languages: tuple, arms: tuple):
         seed_count=args.corpus_seeds,
         step_limit=args.step_limit,
         workers=args.workers,
-        judge_workers=args.judge_workers,
         triage=args.triage,
         model_seed=args.model_seed,
         max_corpus=args.max_corpus,

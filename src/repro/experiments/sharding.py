@@ -12,10 +12,9 @@ plus the optional ``fortran-ext`` cell (the future-work extension).
 Every table and figure is pure composition over the reports those
 cells produce, so the cells can run in separate worker processes and
 the parent can render byte-identical artifacts from the merged
-results.  This is the third leg of the scale story: threads inside a
-cell (the stage scheduler), a fast evaluator inside a worker (the
-closure backend), and now processes across cells — the only layer the
-GIL cannot flatten.
+results.  This is one leg of the scale story: a fast evaluator inside
+a worker (the closure backend), and processes across cells — the only
+layer the GIL cannot flatten.
 
 Protocol:
 

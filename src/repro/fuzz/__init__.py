@@ -14,9 +14,10 @@ independently-implemented execution backends (``walk`` vs ``closure``).
 * :mod:`repro.fuzz.signature` — behaviour signatures (rc / fault /
   steps buckets) that, with feature idents, define the coverage
   frontier driving adaptive operator weights;
-* :mod:`repro.fuzz.campaign` — the round-based campaign engine fanning
-  candidates over the :class:`~repro.pipeline.scheduler.StageScheduler`
-  (mutate → differential → triage);
+* :mod:`repro.fuzz.campaign` — the round-based campaign engine: each
+  round mutates a batch, then runs every candidate's differential →
+  triage chain (:mod:`repro.fuzz.stages`) in a loop or, one task per
+  candidate, in a process pool;
 * :mod:`repro.fuzz.manifest` — deterministic replay from a campaign
   manifest (seed + recorded operator schedule);
 * :mod:`repro.fuzz.minimize` — greedy corpus minimizer preserving the

@@ -3,8 +3,10 @@
 A :class:`Campaign` seeds a corpus from the template registry, then
 runs feedback-driven rounds.  Each round it *serially* draws a batch
 of (parent, operator, seed) triples — operators picked by adaptive
-weight — fans the batch over the :class:`StageScheduler`, and applies
-feedback serially in slot order:
+weight — mutates the batch, runs each candidate's differential → triage
+chain (in a loop, or one task per candidate in a process pool; see
+:meth:`Campaign._run_batch`), and applies feedback serially in slot
+order:
 
 * a candidate whose behaviour lights up a new coverage-frontier cell
   (feature ident, behaviour signature, or feature × signature) is
@@ -23,6 +25,7 @@ schedule even if the weight heuristics later change.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,14 +33,20 @@ from dataclasses import dataclass, field
 from repro.corpus.coverage import CoverageReport, measure_coverage
 from repro.corpus.generator import CorpusGenerator, TestFile
 from repro.cache.keys import content_key
-from repro.llm.model import DeepSeekCoderSim
+from repro.cache.wrappers import agent_judge_key
+from repro.obs import trace
 from repro.obs.metrics import get_metrics
-from repro.pipeline.pool import ComputePool, ComputeWorkerCrash
-from repro.pipeline.scheduler import StageScheduler
-from repro.fuzz.differential import Discrepancy, discrepancy_from
+from repro.obs.remote import absorb
+from repro.pipeline.engine import count_stage, replay, stage_counters
+from repro.pipeline.pool import ComputePool
+from repro.pipeline.stats import counted_run
+from repro.fuzz.differential import DifferentialOutcome, Discrepancy, discrepancy_from
 from repro.fuzz.operators import FuzzOperator, operators_by_name
 from repro.fuzz.signature import behavior_signature, coverage_keys
-from repro.fuzz.stages import Candidate, DifferentialStage, MutateStage, TriageStage
+from repro.fuzz.stages import (
+    CHAIN_SPEC, STAGES, Candidate, chain_parts, chain_task, differential_and_triage,
+    mutate, tool_report, wants_judge,
+)
 
 WEIGHT_FLOOR = 0.2
 WEIGHT_CEIL = 8.0
@@ -54,7 +63,10 @@ class CampaignConfig:
     batch_size: int = 24
     seed_count: int = 12
     step_limit: int = 300_000
+    #: compute pool processes; 1 runs every chain in-process
     workers: int = 2
+    #: ignored: triage runs inside each candidate's chain (kept so
+    #: configs and manifests that name it still load)
     judge_workers: int = 2
     triage: str = "divergent"  # 'divergent' | 'all' | 'off'
     judge_kind: str = "direct"
@@ -65,6 +77,8 @@ class CampaignConfig:
     arms: tuple[str, ...] | None = None  # None = every registered backend
 
     def __post_init__(self):
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
         if self.triage not in ("divergent", "all", "off"):
             raise ValueError(f"triage must be divergent/all/off, got {self.triage!r}")
         if self.rounds < 0 or self.batch_size < 1 or self.seed_count < 1:
@@ -191,8 +205,11 @@ class CampaignStats:
     cap_dropped: int = 0
     wall_seconds: float = 0.0
     #: cost-model walls under the repo's simulated 33B service-rate
-    #: convention: serial = Σ per-item stage costs, parallel = Σ per
-    #: round of the bottleneck pool's cost (stage cost / its workers)
+    #: convention, where a candidate costs its mutate and differential
+    #: busy seconds plus its judgment's simulated seconds: serial = Σ
+    #: per-candidate cost; parallel = Σ per round of the parent's
+    #: mutate and in-process chain costs plus the pooled chains'
+    #: makespan over ``workers`` slots (see :func:`makespan`)
     serial_wall_model: float = 0.0
     parallel_wall_model: float = 0.0
     coverage_curve: list[int] = field(default_factory=list)
@@ -343,12 +360,15 @@ class Campaign:
         recorded behaviour.
         """
         self.config = config
-        self.cache = cache
-        self.reuse_differential = reuse_differential
+        self.caches = {
+            "fuzz": getattr(cache, "fuzz", None) if reuse_differential else None,
+            "judge": getattr(cache, "judge", None),
+        }
         self.operators: dict[str, FuzzOperator] = {
             op.name: op for op in operators_by_name(config.operators)
         }
-        self.model_sim = DeepSeekCoderSim(seed=config.model_seed)
+        self.runner, self.judge = chain_parts(config)
+        self.model_sim = self.judge.model
 
     # ------------------------------------------------------------------
 
@@ -376,13 +396,14 @@ class Campaign:
           ``result.interrupted`` True (the daemon's SIGTERM
           "checkpoint then drain" path).
 
-        With ``config.workers >= 2`` the differential oracle runs in a
+        With ``config.workers >= 2`` each candidate's differential →
+        triage chain runs in a
         :class:`~repro.pipeline.pool.ComputePool` of that many
-        processes, open for this call and closed when it ends.  A
-        worker's death raises
+        processes, open for this call and closed when it ends (also
+        when an error or Ctrl-C ends it).  A worker's death raises
         :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
-        ``workers=1`` runs everything in-process: the spec the pooled
-        digest matches.
+        ``workers=1`` runs everything in-process, on this thread: the
+        spec the pooled digest matches.
         """
         with (ComputePool(self.config.workers) if self.config.workers > 1
               else contextlib.nullcontext()) as pool:
@@ -592,56 +613,87 @@ class Campaign:
     def _run_batch(self, batch: list[Candidate], round_no: int,
                    stats: CampaignStats,
                    pool: ComputePool | None) -> list[Candidate]:
+        """Run one round's batch; the candidates come back in slot order.
+
+        Inside the round's ``scheduler.run`` span and registry:
+
+        1. Mutate every candidate here, in slot order.
+        2. With a pool, send each mutated candidate whose chain the cache
+           does not hold whole (see :meth:`_seeds`) to the pool as one
+           :func:`~repro.fuzz.stages.chain_task`, longest source first.
+        3. In slot order, run every other chain here, and replay each
+           pooled task's lookups against the cache (the counted lookups
+           an in-process run makes), folding in its spans, stage counts
+           and model calls.
+        """
         config = self.config
-        fuzz_cache = (
-            getattr(self.cache, "fuzz", None) if self.reuse_differential else None
-        )
-        judge_cache = getattr(self.cache, "judge", None)
-        stages = [
-            MutateStage(self.operators, round_no=round_no, workers=config.workers),
-            DifferentialStage(
-                model=config.flavor,
-                step_limit=config.step_limit,
-                openmp_max_version=config.openmp_max_version,
-                cache=fuzz_cache,
-                workers=config.workers,
-                triage=config.triage,
-                arms=config.arms,
-                pool=pool,
-            ),
-            TriageStage(
-                self.model_sim,
-                config.flavor,
-                kind=config.judge_kind,
-                cache=judge_cache,
-                workers=config.judge_workers,
-            ),
-        ]
-        scheduler = StageScheduler(stages, queue_capacity=max(16, config.batch_size))
-        result = scheduler.run(batch)
-        for error in result.errors:
-            if isinstance(error.error, ComputeWorkerCrash):
-                raise error.error
-        result.raise_first(f"fuzz round {round_no}")
+        with counted_run(len(batch), ",".join(STAGES)) as registry:
+            counters = stage_counters(registry, STAGES)
+            mutate_cost = 0.0
+            for cand in batch:
+                started = time.perf_counter()
+                count_stage(
+                    counters["mutate"], cand.parent,
+                    lambda: mutate(cand, self.operators, round_no),
+                )
+                mutate_cost += time.perf_counter() - started
+                if cand.skip is not None:
+                    counters["differential"].skipped.inc()
+                    counters["triage"].skipped.inc()
+            mutated = [cand for cand in batch if cand.skip is None]
+            futures = {}
+            if pool is not None:
+                seeds = {cand.index: self._seeds(cand) for cand in mutated}
+                ctx = trace.current()
+                for cand in sorted(mutated, key=lambda c: len(c.test.source), reverse=True):
+                    if seeds[cand.index] is not None:
+                        futures[cand.index] = pool.submit(
+                            chain_task, config, cand, seeds[cand.index], ctx
+                        )
+            local_cost, pooled_cost = 0.0, {}
+            for cand in mutated:
+                if cand.index not in futures:
+                    local_cost += differential_and_triage(
+                        cand, self.runner, self.judge, config.triage, self._lookup,
+                        counters,
+                    )
+                    continue
+                (done, lookups, llm_calls, cost), spans, metrics_delta = pool.result(
+                    futures[cand.index], CHAIN_SPEC, cand.test.name
+                )
+                absorb(spans, metrics_delta, registry)
+                replay(self._lookup, lookups, self.model_sim, llm_calls)
+                cand.outcome, cand.judge = done.outcome, done.judge
+                pooled_cost[cand.index] = cost
 
-        # cost-model accounting (the repo's simulated-service convention):
-        # triage charges the 33B service-rate model, CPU stages their
-        # measured busy seconds; the parallel model is the bottleneck
-        # pool's share, i.e. a pipelined scheduler's critical path
-        costs = {}
-        for stage in stages:
-            st = result.stats[stage.name]
-            cost = st.simulated_seconds if stage.name == "triage" else st.busy_seconds
-            costs[stage.name] = (cost, max(1, stage.workers))
-        stats.serial_wall_model += sum(cost for cost, _ in costs.values())
-        stats.parallel_wall_model += max(
-            (cost / workers for cost, workers in costs.values()), default=0.0
+        costs = [pooled_cost[index] for index in futures]  # in submission order
+        stats.serial_wall_model += mutate_cost + local_cost + sum(costs)
+        stats.parallel_wall_model += (
+            mutate_cost + local_cost + makespan(costs, config.workers)
         )
-        stats.judge_calls += result.stats["triage"].processed
+        stats.judge_calls += sum(1 for cand in batch if cand.judge is not None)
+        return batch
 
-        finished = [item for item in result.finished if isinstance(item, Candidate)]
-        finished.sort(key=lambda cand: cand.index)
-        return finished
+    def _lookup(self, namespace: str, key: str, compute):
+        """A lookup in the campaign's ``fuzz`` or ``judge`` cache, counted
+        as a hit or a miss; a namespace without a cache computes."""
+        cache = self.caches[namespace]
+        return compute() if cache is None else cache.get_or_compute(key, compute)
+
+    def _seeds(self, cand: Candidate) -> dict | None:
+        """The cached differential outcome ``cand``'s chain starts from,
+        by key (peeked, uncounted); None when the cache holds the whole
+        chain, which then runs here."""
+        fuzz, key = self.caches["fuzz"], self.runner.key_for(cand.test.name, cand.test.source)
+        stored = None if fuzz is None else fuzz.peek(key)
+        if stored is None:
+            return {}
+        outcome = DifferentialOutcome.from_json(stored)
+        if not wants_judge(outcome, self.config.triage):
+            return None
+        report = tool_report(outcome)
+        judged = self.caches["judge"].peek(agent_judge_key(self.judge, cand.test, report))
+        return None if judged is not None else {key: stored}
 
     def _absorb(self, cand: Candidate, frontier: CoverageFrontier,
                 states: dict[str, OperatorState], stats: CampaignStats,
@@ -704,3 +756,12 @@ class Campaign:
         if state is not None:
             state.decay_known()
         return None
+
+
+def makespan(costs: list[float], slots: int) -> float:
+    """The greedy list schedule's makespan: each cost, in order, starts
+    on whichever of ``slots`` frees first."""
+    finish = [0.0] * max(1, slots)
+    for cost in costs:
+        heapq.heapreplace(finish, finish[0] + cost)
+    return max(finish)

@@ -20,12 +20,11 @@ and changing the arm set changes the key (a two-arm verdict must never
 satisfy a three-arm campaign).
 
 The oracle is pure CPU work under the GIL, so a campaign with two or
-more workers runs it in the :class:`~repro.pipeline.pool.ComputePool`
-of processes the validation pipeline also uses.  The cache lookup and
-store stay in the campaign's process; only the compile and the arms'
-runs cross the boundary (:func:`~repro.pipeline.pool.compile_and_run`
-under every arm).  The in-process path (one worker) is the executable
-spec the pooled digest must match byte for byte.
+more workers runs each candidate's differential → triage chain as one
+task in the :class:`~repro.pipeline.pool.ComputePool` of processes the
+validation pipeline also uses (:mod:`repro.fuzz.stages`).  The runner
+itself never crosses a process: it reads and fills its cache through
+whatever ``lookup`` its caller hands :meth:`DifferentialRunner.run`.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.cache.keys import content_key
-from repro.cache.store import ResultCache
 from repro.compiler.driver import Compiler, CompileResult
-from repro.pipeline.pool import ComputePool, ComputeSpec, compile_and_run
+from repro.pipeline.engine import Lookup, uncached
+from repro.pipeline.pool import compile_and_run
 from repro.runtime.executor import ExecutionResult, Executor
 from repro.runtime.interpreter import EXECUTION_BACKENDS
 
@@ -142,6 +141,11 @@ class DifferentialOutcome:
         return _primary_of(self.results)
 
     @property
+    def ok(self) -> bool:
+        """The oracle passed: the candidate compiled and every arm agreed."""
+        return self.compiled and not self.divergent
+
+    @property
     def executions(self) -> int:
         """Backend runs this outcome represents (0 on compile failure)."""
         return sum(1 for result in self.results.values() if result is not None)
@@ -204,9 +208,7 @@ class DifferentialRunner:
     ``arms`` defaults to every backend in
     :data:`~repro.runtime.interpreter.EXECUTION_BACKENDS` — registering
     a backend automatically puts it under differential test.  Not
-    thread-safe by contract (each scheduler worker builds its own); the
-    cache it fronts *is* thread-safe, so workers share one.  With a
-    ``pool`` the compile-and-run half happens in a pool worker.
+    thread-safe by contract.
     """
 
     def __init__(
@@ -214,17 +216,11 @@ class DifferentialRunner:
         model: str = "acc",
         step_limit: int = 300_000,
         openmp_max_version: float = 4.5,
-        cache: ResultCache | None = None,
         arms: tuple[str, ...] | None = None,
-        pool: ComputePool | None = None,
     ):
         self.compiler = Compiler(model=model, openmp_max_version=openmp_max_version)
         self.step_limit = step_limit
-        self.cache = cache
-        self.pool = pool
         self.arms = tuple(arms) if arms is not None else EXECUTION_BACKENDS
-        self.spec = ComputeSpec("differential", "candidate", "fuzz:worker-compute")
-        self.toolchain = (model, openmp_max_version, step_limit)
         unknown = [arm for arm in self.arms if arm not in EXECUTION_BACKENDS]
         if unknown:
             raise ValueError(
@@ -249,8 +245,10 @@ class DifferentialRunner:
     def key_for(self, name: str, source: str) -> str:
         return content_key("fuzz-differential", self.fingerprint(), name, source)
 
-    def run(self, test) -> DifferentialOutcome:
-        """The differential outcome for one candidate (cached by content).
+    def run(self, test, lookup: Lookup = uncached) -> DifferentialOutcome:
+        """The differential outcome for one candidate, through ``lookup``
+        (see :data:`repro.pipeline.engine.Lookup`) in the ``fuzz``
+        namespace.
 
         The candidate *name* is part of the key: compile stderr embeds
         the filename, and the triage judge's prompt (hence the campaign
@@ -259,27 +257,17 @@ class DifferentialRunner:
         candidate names are deterministic, so replays and warm reruns
         still hit.
         """
-        if self.cache is not None:
-            key = self.key_for(test.name, test.source)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return DifferentialOutcome.from_json(cached)
-        if self.pool is None:
-            outcome = self._compute(test)
-        else:
-            outcome = _outcome(
-                *self.pool.compute(
-                    self.spec, self.toolchain, test.name, test.source, self.arms
-                )
-            )
-        if self.cache is not None:
-            self.cache.put(key, outcome.to_json())
-        return outcome
+        fresh = None
 
-    def _compute(self, test) -> DifferentialOutcome:
-        return _outcome(
-            *compile_and_run(self.compiler, self.executors, test.source, test.name)
-        )
+        def compute() -> dict:
+            nonlocal fresh
+            fresh = _outcome(
+                *compile_and_run(self.compiler, self.executors, test.source, test.name)
+            )
+            return fresh.to_json()
+
+        stored = lookup("fuzz", self.key_for(test.name, test.source), compute)
+        return fresh if fresh is not None else DifferentialOutcome.from_json(stored)
 
 
 def _outcome(compiled: CompileResult, results: dict) -> DifferentialOutcome:

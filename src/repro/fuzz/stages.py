@@ -1,39 +1,56 @@
-"""Campaign stages for the PR 1 :class:`StageScheduler`.
-
-One fuzzing round fans its candidate batch over three worker pools:
+"""One candidate's trip through a campaign round: mutate, then
+differential → triage.
 
 * ``mutate``       — apply the scheduled operator with the candidate's
-  own seeded RNG (a :class:`MutationError` becomes a typed skip);
+  own seeded RNG (a :class:`MutationError` becomes a typed skip); the
+  campaign's own thread mutates the whole batch, in slot order;
 * ``differential`` — compile + run every oracle arm via
-  :class:`~repro.fuzz.differential.DifferentialRunner` (in the
-  campaign's :class:`~repro.pipeline.pool.ComputePool` when it has
-  one);
+  :class:`~repro.fuzz.differential.DifferentialRunner`;
 * ``triage``       — LLM-judge candidates the campaign's policy sends
   on (divergent ones always; optionally every survivor).
 
-Determinism under threads: every per-candidate effect is a pure
-function of the candidate's recorded ``(parent, operator, seed)``
-triple — mutation draws from a private ``random.Random(seed)``, the
-toolchain is deterministic, and the simulated judge is a pure function
-of (model seed, prompt).  The campaign applies feedback serially in
-slot order after the scheduler drains, so thread completion order can
-never leak into corpora, findings or weights.
+:func:`differential_and_triage` is the chain after mutation: one call
+per candidate, in a loop on the campaign's thread or as one
+:func:`chain_task` in the campaign's
+:class:`~repro.pipeline.pool.ComputePool`.  It counts each stage
+through :func:`~repro.pipeline.engine.count_stage` and makes every
+cache lookup through one ``lookup`` callable, exactly as the
+validation pipeline's chain does.
+
+Determinism: every per-candidate effect is a pure function of the
+candidate's recorded ``(parent, operator, seed)`` triple — mutation
+draws from a private ``random.Random(seed)``, the toolchain is
+deterministic, and the simulated judge is a pure function of (model
+seed, prompt).  The campaign applies feedback serially in slot order,
+so the order tasks finish in can never leak into corpora, findings or
+weights.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, replace
 
+from repro.cache.wrappers import agent_judge_key
 from repro.corpus.generator import EXTENSIONS, TestFile
 from repro.judge.agent import ToolReport
 from repro.judge.llmj import AgentLLMJ, JudgeResult
-from repro.pipeline.pool import ComputePool
-from repro.pipeline.scheduler import Stage, StageOutcome
+from repro.llm.model import DeepSeekCoderSim
+from repro.obs.metrics import get_metrics
+from repro.pipeline.engine import Lookup, count_stage, recording, stage_counters
+from repro.pipeline.pool import ComputeSpec, run_task
+from repro.pipeline.stats import StageCounters
 from repro.probing.mutators import MutationError
 
 from repro.fuzz.differential import DifferentialOutcome, DifferentialRunner
 from repro.fuzz.operators import FuzzOperator
+
+#: a round's stages, in order
+STAGES = ("mutate", "differential", "triage")
+
+#: how the campaign's pool tasks name themselves
+CHAIN_SPEC = ComputeSpec("differential", "candidate", "fuzz:worker-compute")
 
 
 @dataclass
@@ -53,137 +70,132 @@ class Candidate:
     def is_seed(self) -> bool:
         return self.operator == ""
 
+    @property
+    def ok(self) -> bool:
+        """No typed skip ended this candidate's mutation."""
+        return self.skip is None
+
 
 def candidate_name(round_no: int, slot: int, operator: str, language: str) -> str:
     ext = EXTENSIONS.get(language, ".c")
     return f"fz_r{round_no:02d}_{slot:03d}_{operator}{ext}"
 
 
-class MutateStage(Stage):
-    """Apply each candidate's scheduled operator under its private RNG."""
-
-    name = "mutate"
-
-    def __init__(self, operators: dict[str, FuzzOperator], round_no: int, workers: int = 2):
-        self.operators = operators
-        self.round_no = round_no
-        self.workers = workers
-
-    def process(self, payload: Candidate, state) -> StageOutcome:
-        if payload.is_seed:
-            payload.test = payload.parent
-            return StageOutcome(payload, ok=True)
-        operator = self.operators[payload.operator]
-        rng = random.Random(payload.seed)
-        try:
-            mutated = operator.apply(payload.parent, rng)
-        except MutationError as exc:
-            payload.skip = str(exc)
-            return StageOutcome(payload, ok=False, done=True,
-                                skip_stats=("differential", "triage"))
-        # issue operators stamp their defect class; behaviour-preserving
-        # operators inherit the parent's ground truth (a dead store on
-        # an issue-4 mutant is still an issue-4 test)
-        issue = operator.issue if operator.issue is not None else payload.parent.issue
-        payload.test = replace(
-            mutated,
-            name=candidate_name(
-                self.round_no, payload.index, payload.operator, payload.parent.language
-            ),
-            issue=issue,
-        )
-        return StageOutcome(payload, ok=True)
+def mutate(cand: Candidate, operators: dict[str, FuzzOperator], round_no: int) -> Candidate:
+    """Apply ``cand``'s scheduled operator under its private RNG: set
+    ``cand.test``, or ``cand.skip`` on a typed skip."""
+    if cand.is_seed:
+        cand.test = cand.parent
+        return cand
+    operator = operators[cand.operator]
+    try:
+        mutated = operator.apply(cand.parent, random.Random(cand.seed))
+    except MutationError as exc:
+        cand.skip = str(exc)
+        return cand
+    # issue operators stamp their defect class; behaviour-preserving
+    # operators inherit the parent's ground truth (a dead store on an
+    # issue-4 mutant is still an issue-4 test)
+    issue = operator.issue if operator.issue is not None else cand.parent.issue
+    cand.test = replace(
+        mutated,
+        name=candidate_name(round_no, cand.index, cand.operator, cand.parent.language),
+        issue=issue,
+    )
+    return cand
 
 
-class DifferentialStage(Stage):
-    """Run one candidate through every arm; route per triage policy."""
-
-    name = "differential"
-
-    def __init__(
-        self,
-        model: str,
-        step_limit: int,
-        openmp_max_version: float = 4.5,
-        cache=None,
-        workers: int = 2,
-        triage: str = "divergent",  # 'divergent' | 'all' | 'off'
-        arms: tuple[str, ...] | None = None,  # None = all registered
-        pool: ComputePool | None = None,
-    ):
-        self.model = model
-        self.step_limit = step_limit
-        self.openmp_max_version = openmp_max_version
-        self.cache = cache
-        self.workers = workers
-        self.triage = triage
-        self.arms = arms
-        self.pool = pool
-
-    def make_worker_state(self) -> DifferentialRunner:
-        return DifferentialRunner(
-            model=self.model,
-            step_limit=self.step_limit,
-            openmp_max_version=self.openmp_max_version,
-            cache=self.cache,
-            arms=self.arms,
-            pool=self.pool,
-        )
-
-    def process(self, payload: Candidate, runner: DifferentialRunner) -> StageOutcome:
-        payload.outcome = runner.run(payload.test)
-        ok = payload.outcome.compiled and not payload.outcome.divergent
-        wants_judge = payload.outcome.divergent or (
-            self.triage == "all" and payload.outcome.compiled
-        )
-        if self.triage != "off" and wants_judge:
-            return StageOutcome(payload, ok=ok)
-        return StageOutcome(payload, ok=ok, done=True, skip_stats=("triage",))
+def wants_judge(outcome: DifferentialOutcome, triage: str) -> bool:
+    """Whether the triage policy sends this outcome to the judge."""
+    if triage == "off":
+        return False
+    return outcome.divergent or (triage == "all" and outcome.compiled)
 
 
-class TriageStage(Stage):
-    """LLM-judge one surviving candidate (the paper's issue-4 detector).
+def tool_report(outcome: DifferentialOutcome) -> ToolReport:
+    """What the judge sees: the primary arm's observables (``closure``
+    when that arm runs, keeping digests stable across oracle
+    widenings)."""
+    run = outcome.primary
+    return ToolReport(
+        compile_rc=outcome.compile_rc,
+        compile_stderr=outcome.compile_stderr,
+        compile_stdout="",
+        run_rc=run.returncode if run else None,
+        run_stderr=run.stderr if run else None,
+        run_stdout=run.stdout if run else None,
+        diagnostic_codes=outcome.diagnostic_codes,
+    )
 
-    The judge sees the primary arm's observables (``closure`` when that
-    arm runs, keeping digests stable across oracle widenings); its
-    verdict joins the finding so a human triaging a :class:`Discrepancy`
-    knows whether the candidate was even a plausible test to begin with.
+
+def differential_and_triage(
+    cand: Candidate, runner: DifferentialRunner, judge: AgentLLMJ, triage: str,
+    lookup: Lookup, counters: dict[str, StageCounters],
+) -> float:
+    """One mutated candidate's chain: the differential oracle, then the
+    judge when the ``triage`` policy wants a judgment (the paper's
+    issue-4 detector; its verdict joins any finding, so a human triaging
+    a :class:`~repro.fuzz.differential.Discrepancy` knows whether the
+    candidate was even a plausible test).  A candidate the policy does
+    not send on counts a triage skip.
+
+    Returns the chain's modelled cost: the differential's busy seconds
+    plus the judgment's simulated 33B seconds.
     """
+    test = cand.test
+    started = time.perf_counter()
+    cand.outcome = count_stage(
+        counters["differential"], test, lambda: runner.run(test, lookup)
+    )
+    cost = time.perf_counter() - started
+    if not wants_judge(cand.outcome, triage):
+        counters["triage"].skipped.inc()
+        return cost
+    report = tool_report(cand.outcome)
+    cand.judge = count_stage(
+        counters["triage"], test,
+        lambda: lookup(
+            "judge", agent_judge_key(judge, test, report), lambda: judge.judge(test, report)
+        ),
+    )
+    return cost + cand.judge.simulated_seconds
 
-    name = "triage"
 
-    def __init__(self, model_sim, flavor: str, kind: str = "direct",
-                 cache=None, workers: int = 1):
-        self.model_sim = model_sim
-        self.flavor = flavor
-        self.kind = kind
-        self.cache = cache
-        self.workers = workers
+def chain_parts(config) -> tuple[DifferentialRunner, AgentLLMJ]:
+    """The oracle and the judge a campaign's ``config`` (a
+    :class:`~repro.fuzz.campaign.CampaignConfig`) computes with."""
+    runner = DifferentialRunner(
+        model=config.flavor,
+        step_limit=config.step_limit,
+        openmp_max_version=config.openmp_max_version,
+        arms=config.arms,
+    )
+    judge = AgentLLMJ(
+        DeepSeekCoderSim(seed=config.model_seed), config.flavor, kind=config.judge_kind
+    )
+    return runner, judge
 
-    def make_worker_state(self):
-        judge = AgentLLMJ(self.model_sim, self.flavor, kind=self.kind)
-        if self.cache is not None:
-            from repro.cache.wrappers import CachingAgentJudge
 
-            return CachingAgentJudge(judge, self.cache)
-        return judge
+def chain_task(config, cand: Candidate, seeds: dict, trace_ctx) -> tuple:
+    """A pooled round's task (module-level: spawn-safe): ``cand``'s
+    :func:`differential_and_triage`, counted into this worker's
+    registry, with ``seeds`` (the parent's entries by key) served in
+    front of the computation.
 
-    def process(self, payload: Candidate, judge) -> StageOutcome:
-        outcome = payload.outcome
-        run = outcome.primary
-        report = ToolReport(
-            compile_rc=outcome.compile_rc,
-            compile_stderr=outcome.compile_stderr,
-            compile_stdout="",
-            run_rc=run.returncode if run else None,
-            run_stderr=run.stderr if run else None,
-            run_stdout=run.stdout if run else None,
-            diagnostic_codes=outcome.diagnostic_codes,
+    Its value is ``(cand, lookups, llm_calls, cost)``: ``lookups`` holds
+    every lookup the chain made, for the parent to
+    :func:`~repro.pipeline.engine.replay`, and ``llm_calls`` the
+    rebuilt model's :meth:`GenerationStats.totals
+    <repro.llm.model.GenerationStats.totals>`.
+    """
+    runner, judge = chain_parts(config)
+    lookup, lookups = recording(seeds)
+
+    def chain() -> tuple:
+        cost = differential_and_triage(
+            cand, runner, judge, config.triage, lookup,
+            stage_counters(get_metrics(), STAGES),
         )
-        payload.judge = judge.judge(payload.test, report)
-        return StageOutcome(
-            payload,
-            ok=payload.judge.says_valid,
-            done=True,
-            simulated_seconds=payload.judge.simulated_seconds,
-        )
+        return cand, lookups, judge.model.stats.totals(), cost
+
+    return run_task(CHAIN_SPEC, cand.test.name, trace_ctx, chain)

@@ -15,13 +15,6 @@ from repro.pipeline.engine import (
     PipelineResult,
     ValidationPipeline,
 )
-from repro.pipeline.scheduler import (
-    SchedulerResult,
-    Stage,
-    StageError,
-    StageOutcome,
-    StageScheduler,
-)
 from repro.pipeline.stats import PipelineStats, StageCounts
 
 __all__ = [
@@ -31,9 +24,4 @@ __all__ = [
     "ValidationPipeline",
     "PipelineStats",
     "StageCounts",
-    "Stage",
-    "StageOutcome",
-    "StageScheduler",
-    "SchedulerResult",
-    "StageError",
 ]

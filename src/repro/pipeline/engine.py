@@ -369,21 +369,9 @@ class ValidationPipeline:
                     futures[i], spec, test.name
                 )
                 absorb(spans, metrics_delta, registry)
-                for namespace, key, value in lookups:
-                    lookup(namespace, key, self._kept(namespace, value, llm_calls))
+                replay(lookup, lookups, self.model, llm_calls)
                 records.append(record)
         return records
-
-    def _kept(self, namespace: str, value: Any, llm_calls: tuple) -> Callable[[], Any]:
-        """A replayed lookup's compute: the task's ``value``, and, for a
-        judgment, the task's model calls counted into ``model.stats``."""
-
-        def keep() -> Any:
-            if namespace == "judge":
-                self.model.stats.add(llm_calls)
-            return value
-
-        return keep
 
     def _cached_prefix(self, test: TestFile, key: str) -> dict | None:
         """The compile and execute entries the cache holds for ``test``,
@@ -424,9 +412,11 @@ def _record(
     return record
 
 
-def stage_counters(registry: MetricsRegistry) -> dict[str, StageCounters]:
-    """The chain's per-stage instruments in ``registry``."""
-    return {name: StageCounters(registry, name) for name in STAGES}
+def stage_counters(
+    registry: MetricsRegistry, stages: tuple[str, ...] = STAGES
+) -> dict[str, StageCounters]:
+    """A chain's per-stage instruments in ``registry``."""
+    return {name: StageCounters(registry, name) for name in stages}
 
 
 def count_stage(counters: StageCounters, test: TestFile, work: Callable):
@@ -467,6 +457,22 @@ def _validate_task(
     pipeline = ValidationPipeline(
         config, model=DeepSeekCoderSim(seed=seed, max_context_tokens=max_context_tokens)
     )
+    lookup, lookups = recording(seeds)
+
+    def chain() -> tuple:
+        record = pipeline.validate_file(test, lookup, stage_counters(get_metrics()))
+        return record, lookups, pipeline.model.stats.totals()
+
+    return run_task(spec, test.name, trace_ctx, chain)
+
+
+def recording(seeds: dict) -> tuple[Lookup, list]:
+    """A pool task's lookup, and the list it records into.
+
+    The lookup serves ``seeds`` (the parent's entries, by key) in front
+    of the computation and appends the ``(namespace, key, value)`` of
+    every lookup, in order, for the parent to :func:`replay`.
+    """
     lookups = []
 
     def lookup(namespace: str, key: str, compute: Callable[[], Any]) -> Any:
@@ -476,8 +482,23 @@ def _validate_task(
         lookups.append((namespace, key, value))
         return value
 
-    def chain() -> tuple:
-        record = pipeline.validate_file(test, lookup, stage_counters(get_metrics()))
-        return record, lookups, pipeline.model.stats.totals()
+    return lookup, lookups
 
-    return run_task(spec, test.name, trace_ctx, chain)
+
+def replay(
+    lookup: Lookup, lookups: list, model: DeepSeekCoderSim, llm_calls: tuple
+) -> None:
+    """Replay a pool task's recorded ``lookups`` against ``lookup``: the
+    counted lookups an in-process run makes, storing what the task
+    computed.  When the task's judgment is the one kept, its model calls
+    (``llm_calls``, a :meth:`GenerationStats.totals
+    <repro.llm.model.GenerationStats.totals>`) count into
+    ``model.stats``."""
+    for namespace, key, value in lookups:
+
+        def keep(namespace=namespace, value=value) -> Any:
+            if namespace == "judge":
+                model.stats.add(llm_calls)
+            return value
+
+        lookup(namespace, key, keep)

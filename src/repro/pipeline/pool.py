@@ -8,9 +8,10 @@ processes for three users:
   <repro.pipeline.engine.ValidationPipeline.run>` with ``processes >=
   2``): one task per file, its whole compile → execute → judge chain
   past the cache entries the parent already holds;
-* the fuzz campaign's differential oracle
-  (:class:`~repro.fuzz.differential.DifferentialRunner`): one
-  :func:`compute` task per candidate, compiled and run under every arm;
+* the fuzz campaign (:meth:`Campaign.run
+  <repro.fuzz.campaign.Campaign.run>` with ``workers >= 2``): one task
+  per candidate, its whole differential → triage chain past the cached
+  outcome the parent already holds;
 * corpus generation (:meth:`CorpusGenerator.generate
   <repro.corpus.generator.CorpusGenerator.generate>` with ``workers >=
   2``): one :func:`compute` task per rendered file, run under the
@@ -34,8 +35,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 from repro.compiler.driver import Compiler, CompileResult
-from repro.obs import trace
-from repro.obs.remote import WorkerTelemetry, absorb
+from repro.obs.remote import WorkerTelemetry
 from repro.runtime.executor import Executor
 from repro.testing import faultinject
 from repro.testing.faultinject import fault_point
@@ -83,9 +83,9 @@ class ComputePool:
 
     Opening it imports the compile and execute modules, then forks (or
     spawns) every worker at once, on the calling thread: with fork,
-    Python 3.11 launches all workers at the first submit, and that
-    submit must not happen on a scheduler thread.  :meth:`submit` and
-    :meth:`result` are thread-safe.  :meth:`close` leaves no child
+    Python 3.11 launches all workers at the first submit, so the pool
+    makes that submit itself, before its user starts any thread.
+    :meth:`submit` and :meth:`result` are thread-safe.  :meth:`close` leaves no child
     alive, after a normal end and after a worker death alike.
     """
 
@@ -132,17 +132,6 @@ class ComputePool:
                 f"a {spec.worker} worker process died while computing"
                 f" {spec.noun} {name!r}"
             ) from exc
-
-    def compute(
-        self, spec: ComputeSpec, toolchain: Toolchain, name: str, source: str,
-        arms: tuple[str, ...],
-    ) -> tuple[CompileResult, dict]:
-        """One :func:`compute` task, waited for; the worker's spans
-        parent under the calling thread's current span."""
-        future = self.submit(compute, spec, toolchain, name, source, arms, trace.current())
-        value, spans, metrics_delta = self.result(future, spec, name)
-        absorb(spans, metrics_delta)
-        return value
 
     def close(self) -> None:
         self._executor.shutdown(wait=True, cancel_futures=True)
@@ -202,9 +191,8 @@ def compute(
     spec: ComputeSpec, toolchain: Toolchain, name: str, source: str,
     arms: tuple[str, ...], trace_ctx,
 ) -> tuple:
-    """The oracle's and the generator's task (module-level:
-    spawn-safe): compile ``source`` with ``toolchain`` and run it under
-    each of ``arms``.
+    """The generator's task (module-level: spawn-safe): compile
+    ``source`` with ``toolchain`` and run it under each of ``arms``.
 
     Its value is ``(compiled, results)``: ``compiled`` without its AST,
     ``results`` one ExecutionResult per arm (empty when the compile

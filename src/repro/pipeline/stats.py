@@ -1,9 +1,9 @@
 """Pipeline statistics: how a run counts its stages, and a read-only
 view over those counts.
 
-Both runners count the same way: the validation pipeline's per-file
+Both chains count the same way: the validation pipeline's per-file
 chain (:mod:`repro.pipeline.engine`) and the fuzz campaign's
-:class:`~repro.pipeline.scheduler.StageScheduler` open a run with
+per-candidate chain (:mod:`repro.fuzz.stages`) open a run with
 :func:`counted_run` and count each stage call through
 :class:`StageCounters`.
 
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, get_metrics, series
 
-# the series the scheduler records, all labelled ``stage`` except the
+# the series a counted run records, all labelled ``stage`` except the
 # run-level files and wall; outcomes also carry ``outcome`` (passed /
 # failed / skipped), and the seconds histogram's sum is busy time
 STAGE_OUTCOMES = "pipeline_stage_outcomes_total"
@@ -96,17 +96,14 @@ class StageCounts(NamedTuple):
 class PipelineStats:
     """Whole-run statistics read from a metrics state or delta.
 
-    ``stages`` are reported even when they counted nothing; other
-    stages found in ``state`` follow them.  The view is plain data, so
-    it pickles across process boundaries as is.
+    The validation chain's stages are reported even when they counted
+    nothing; other stages found in ``state`` follow them.  The view is
+    plain data, so it pickles across process boundaries as is.
     """
 
-    def __init__(
-        self, state: dict | None = None,
-        stages: Iterable[str] = ("compile", "execute", "judge"),
-    ):
+    def __init__(self, state: dict | None = None):
         state = state or {}
-        fields: dict[str, dict] = {name: {} for name in stages}
+        fields: dict[str, dict] = {name: {} for name in ("compile", "execute", "judge")}
         for labels, value in series(state, STAGE_OUTCOMES):
             fields.setdefault(labels["stage"], {})[labels["outcome"]] = int(value)
         for labels, value in series(state, STAGE_SECONDS):

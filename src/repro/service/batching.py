@@ -11,8 +11,8 @@ two knobs:
 * ``max_latency`` — an open batch never waits longer than this for
   company, so a lone request still answers promptly.
 
-One batch becomes one pipeline run, so concurrent clients share the
-StageScheduler's worker pools and the PipelineCache instead of paying
+One batch becomes one pipeline run, so concurrent clients share one
+validator, one run's setup and the PipelineCache instead of paying
 per-request pipeline setup.  When the queue is full, :meth:`submit`
 raises :class:`BatchQueueFull` — the server's HTTP 429 — which is the
 backpressure contract: the daemon sheds load at admission instead of

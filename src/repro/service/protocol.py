@@ -13,6 +13,7 @@ byte-comparable with a direct :class:`TestsuiteValidator` call.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.core.validator import JudgedFile
@@ -262,9 +263,16 @@ class JobSpec:
             from repro.fuzz.campaign import CampaignConfig
 
             try:
-                CampaignConfig.from_json(spec)
+                config = CampaignConfig.from_json(spec)
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"invalid campaign spec: {exc}") from exc
+            # each worker is a process the daemon forks for the job
+            cores = os.cpu_count() or 1
+            _require(
+                config.workers <= cores,
+                f"invalid campaign spec: workers must be <= {cores} (this host's"
+                f" cores), got {config.workers}",
+            )
         else:
             from repro.experiments.rundir import ExperimentRunSpec
 

@@ -126,8 +126,8 @@ def execute_batch(
     """One micro-batch -> one (or few) shared pipeline runs.
 
     All requests share ``options`` (the batcher groups by it), so their
-    files fan through one validator — one StageScheduler run, shared
-    worker pools, shared cache.  The only reason to split a batch is a
+    files fan through one validator — one pipeline run, one shared
+    cache.  The only reason to split a batch is a
     file-name collision between requests: names must be unique within a
     pipeline run, so colliding requests go to a follow-up chunk
     (correctness over batching efficiency).

@@ -59,7 +59,7 @@ Instrumented points in this repo (grep ``fault_point(`` for the list):
   must detect the death, respawn, retry once, and still return
   byte-identical verdicts.
 - ``fuzz:worker-compute`` — in a fuzz campaign's compute pool worker,
-  before it compiles and runs a candidate.  ``kill`` here is "fuzz
+  before it runs a candidate's differential → triage chain.  ``kill`` here is "fuzz
   worker killed mid-candidate": the campaign must stop with
   :class:`~repro.pipeline.pool.ComputeWorkerCrash`, leave no pool
   child alive, and resume from its checkpoint to the same digest.

@@ -52,7 +52,7 @@ def _disarm_faults():
 
 def small_config(**overrides) -> CampaignConfig:
     base = dict(seed=5, rounds=2, batch_size=6, seed_count=4, workers=2,
-                judge_workers=2, triage="divergent")
+                triage="divergent")
     base.update(overrides)
     return CampaignConfig(**base)
 
@@ -252,7 +252,7 @@ class TestDifferentialWorkerKill:
         self, tmp_path, monkeypatch
     ):
         config = small_config(rounds=3)
-        control = Campaign(replace(config, workers=1, judge_workers=1)).run()
+        control = Campaign(replace(config, workers=1)).run()
 
         # hit N > seed_count in one worker is past the seed checkpoint;
         # the run computes enough candidates that some worker reaches it
@@ -296,7 +296,7 @@ def _fuzz_cli(out: Path, *extra: str) -> list[str]:
     return [
         sys.executable, "-m", "repro.cli", "fuzz", "run",
         "--seed", "5", "--rounds", "2", "--batch", "4",
-        "--corpus-seeds", "3", "--workers", "1", "--judge-workers", "1",
+        "--corpus-seeds", "3", "--workers", "1",
         "--triage", "off", "--no-cache", "--out", str(out), *extra,
     ]
 

@@ -35,6 +35,7 @@ from repro.fuzz.differential import (
     divergent_fields,
 )
 from repro.obs.metrics import get_metrics, reset_metrics, series
+from repro.pipeline.engine import cached
 from repro.obs.trace import Tracer, installed
 from repro.runtime.interpreter import EXECUTION_BACKENDS
 from repro.fuzz.manifest import (
@@ -46,6 +47,7 @@ from repro.fuzz.manifest import (
 )
 from repro.fuzz.minimize import minimize_corpus
 from repro.fuzz.operators import default_operators, operators_by_name
+from repro.fuzz.stages import STAGES
 from repro.fuzz.signature import (
     behavior_signature,
     coverage_keys,
@@ -65,7 +67,7 @@ def fuzz_seeds() -> list[TestFile]:
 
 def small_config(**overrides) -> CampaignConfig:
     base = dict(seed=5, rounds=2, batch_size=8, seed_count=4, workers=2,
-                judge_workers=2, triage="divergent")
+                triage="divergent")
     base.update(overrides)
     return CampaignConfig(**base)
 
@@ -289,11 +291,10 @@ class TestDifferential:
 
     def test_cache_hit_skips_recompute(self, fuzz_seeds):
         cache = PipelineCache()
-        runner = DifferentialRunner(model="acc", step_limit=400_000,
-                                    cache=cache.fuzz)
-        first = runner.run(fuzz_seeds[2])
+        runner = DifferentialRunner(model="acc", step_limit=400_000)
+        first = runner.run(fuzz_seeds[2], cached(cache))
         assert cache.fuzz.misses == 1
-        second = runner.run(fuzz_seeds[2])
+        second = runner.run(fuzz_seeds[2], cached(cache))
         assert cache.fuzz.hits == 1
         assert second == first
 
@@ -362,11 +363,14 @@ class TestCampaign:
         assert [e.test.source for e in a.corpus] == [e.test.source for e in b.corpus]
         assert a.coverage.render() == b.coverage.render()
 
-    def test_worker_count_never_changes_the_outcome(self):
-        config = small_config()
-        serial = Campaign(replace(config, workers=1, judge_workers=1)).run()
-        parallel = Campaign(replace(config, workers=4, judge_workers=3)).run()
+    @pytest.mark.parametrize("triage", ["divergent", "all", "off"])
+    def test_worker_count_never_changes_the_outcome(self, triage):
+        config = small_config(triage=triage)
+        serial = Campaign(replace(config, workers=1)).run()
+        parallel = Campaign(replace(config, workers=4)).run()
         assert serial.digest() == parallel.digest()
+        assert serial.stats.judge_calls == parallel.stats.judge_calls
+        assert (serial.stats.judge_calls > 0) == (triage == "all")
 
     def test_different_seeds_diverge(self):
         a = Campaign(small_config(seed=5)).run()
@@ -468,15 +472,21 @@ class TestCampaign:
 
 
 def _fuzz_counts(delta: dict) -> dict:
-    """The campaign's ``fuzz_*`` counters and fuzz-namespace cache
-    lookups from a registry diff."""
-    counts = {
-        key[1]: value for key, value in delta.items()
-        if key[0] == "counter" and key[1].startswith("fuzz_")
-    }
+    """The campaign's ``fuzz_*`` counters, its stage counts and its
+    ``fuzz`` and ``judge`` cache lookups from a registry diff; the
+    time-valued series (busy and simulated seconds, wall) are left out."""
+    counts = {}
+    for (kind, name, labels), value in delta.items():
+        if kind == "counter" and name.startswith("fuzz_"):
+            counts[name] = value
+        elif dict(labels).get("stage") in STAGES:
+            if name == "pipeline_stage_seconds":
+                counts[(name, labels)] = value["count"]
+            elif name != "pipeline_stage_simulated_seconds_total":
+                counts[(name, labels)] = value
     for labels, value in series(delta, "cache_lookups_total"):
-        if labels.get("namespace") == "fuzz":
-            counts[f"cache_lookups_total{{{labels['result']}}}"] = value
+        if labels["namespace"] in ("fuzz", "judge"):
+            counts[f"cache_lookups_total{{{labels['namespace']},{labels['result']}}}"] = value
     return counts
 
 
@@ -489,37 +499,101 @@ class TestDifferentialPool:
 
         monkeypatch.setattr(sharding, "default_start_method", lambda: "spawn")
         config = small_config(rounds=1)
-        serial = Campaign(replace(config, workers=1, judge_workers=1)).run()
+        serial = Campaign(replace(config, workers=1)).run()
         pooled = Campaign(config).run()
         assert pooled.digest() == serial.digest()
         assert multiprocessing.active_children() == []
 
-    def test_traced_pool_parents_worker_spans_under_stage_differential(self):
+    def test_traced_pool_parents_worker_spans_under_the_run_span(self):
         tracer = Tracer()
         with installed(tracer):
-            Campaign(small_config(rounds=1)).run()
+            result = Campaign(small_config(rounds=1)).run()
         spans = tracer.spans
-        stage_ids = {
-            s.span_id for s in spans
-            if s.name == "stage.differential" and s.pid == os.getpid()
-        }
+        by_id = {s.span_id: s for s in spans}
         remote = [s for s in spans if s.name == "worker.differential"]
-        assert remote, "no worker spans shipped home"
-        assert {s.parent_id for s in remote} <= stage_ids
-        assert all(s.pid != os.getpid() for s in remote)
-        # every candidate the differential stage saw ran in a worker
-        assert len(remote) == len(stage_ids)
+        # without a cache, every mutated candidate's chain ran in a worker
+        assert len(remote) == result.stats.applied > 0
+        for span in remote:
+            run = by_id[span.parent_id]
+            assert run.name == "scheduler.run" and run.pid == os.getpid()
+            assert span.pid != os.getpid()
+            held = [
+                s for s in spans
+                if s.parent_id == span.span_id and s.name == "stage.differential"
+            ]
+            assert len(held) == 1 and held[0].attrs["file"] == span.attrs["file"]
+        assert not any(
+            s.name == "stage.differential" and s.pid == os.getpid() for s in spans
+        )
 
-    def test_pooled_counts_equal_in_process_counts(self):
-        config = small_config(rounds=1)
-        counts = []
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "fresh-cache"])
+    @pytest.mark.parametrize("triage", ["divergent", "all", "off"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_counts_equal_in_process_counts(
+        self, start_method, triage, cached, monkeypatch
+    ):
+        from repro.experiments import sharding
+
+        monkeypatch.setattr(sharding, "default_start_method", lambda: start_method)
+        config = small_config(rounds=1, triage=triage)
+        runs = []
         for workers in (1, 2):
             baseline = get_metrics().export_state()
-            Campaign(replace(config, workers=workers), cache=PipelineCache()).run()
-            counts.append(_fuzz_counts(get_metrics().diff(baseline)[0]))
-        assert counts[0]["fuzz_campaigns_total"] == 1
-        assert "cache_lookups_total{miss}" in counts[0]
-        assert counts[1] == counts[0]
+            result = Campaign(
+                replace(config, workers=workers), cache=PipelineCache() if cached else None
+            ).run()
+            runs.append((result.digest(), _fuzz_counts(get_metrics().diff(baseline)[0])))
+        counts = runs[0][1]
+        assert counts["fuzz_campaigns_total"] == 1
+        assert ("cache_lookups_total{fuzz,miss}" in counts) == cached
+        assert ("cache_lookups_total{judge,miss}" in counts) == (cached and triage == "all")
+        assert runs[1] == runs[0]
+        assert multiprocessing.active_children() == []
+
+    def test_a_cache_loaded_from_disk_computes_nothing_in_a_worker(
+        self, tmp_path, monkeypatch
+    ):
+        """A pooled ``triage="all"`` campaign over a cache saved by the
+        same campaign holds every chain whole: no candidate's
+        differential or judgment is computed again."""
+        from repro.experiments import sharding
+        from repro.fuzz import differential
+        from repro.judge.llmj import AgentLLMJ
+
+        config = small_config(rounds=1, triage="all")
+        first = PipelineCache(cache_dir=tmp_path)
+        expected = Campaign(config, cache=first).run()
+        first.save()
+        warm = PipelineCache(cache_dir=tmp_path)
+        assert warm.load() > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached chain was computed again")
+
+        # forked workers inherit the patches
+        monkeypatch.setattr(sharding, "default_start_method", lambda: "fork")
+        monkeypatch.setattr(AgentLLMJ, "judge", refuse)
+        monkeypatch.setattr(differential, "compile_and_run", refuse)
+        baseline = get_metrics().export_state()
+        campaign = Campaign(config, cache=warm)
+        served = campaign.run()
+        counts = _fuzz_counts(get_metrics().diff(baseline)[0])
+        assert served.digest() == expected.digest()
+        assert counts["cache_lookups_total{fuzz,hit}"] > 0
+        assert counts["cache_lookups_total{judge,hit}"] == expected.stats.judge_calls > 0
+        assert not any(key.endswith(",miss}") for key in counts if isinstance(key, str))
+        assert campaign.model_sim.stats.calls == 0
+
+    def test_an_in_process_campaign_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"thread {self.name!r} started")
+
+        config = small_config(rounds=1, workers=1, triage="all")
+        expected = Campaign(config).run().digest()
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cache = PipelineCache()
+        for _ in range(2):  # cold, then warm
+            assert Campaign(config, cache=cache).run().digest() == expected
 
 
 # ----------------------------------------------------------------------
@@ -662,7 +736,7 @@ class TestMinimize:
 
 FUZZ_RUN_ARGS = [
     "fuzz", "run", "--seed", "9", "--rounds", "1", "--batch", "6",
-    "--corpus-seeds", "4", "--workers", "1", "--judge-workers", "1",
+    "--corpus-seeds", "4", "--workers", "1",
 ]
 
 

@@ -39,14 +39,14 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: the campaign every job test runs: small, deterministic, judge-free
 TINY_CAMPAIGN = CampaignConfig(
     seed=5, rounds=1, batch_size=4, seed_count=3,
-    workers=1, judge_workers=1, triage="off",
+    workers=1, triage="off",
 )
 
 #: a longer variant for the SIGTERM tests (must span several rounds so
 #: the signal provably lands mid-run)
 SLOW_CAMPAIGN = CampaignConfig(
     seed=5, rounds=4, batch_size=4, seed_count=3,
-    workers=1, judge_workers=1, triage="off",
+    workers=1, triage="off",
 )
 
 
@@ -65,6 +65,22 @@ def tiny_digest() -> str:
 @pytest.fixture(scope="module")
 def slow_digest() -> str:
     return Campaign(SLOW_CAMPAIGN).run().digest()
+
+
+#: campaign ``workers`` a job must not get past submission: more
+#: processes than the host has cores, none, and a string
+BAD_WORKERS = [(os.cpu_count() or 1) + 1, 0, "2"]
+
+
+@pytest.fixture()
+def refuse_pools(monkeypatch):
+    """Make a campaign's compute pool fail the test instead of forking."""
+
+    class Refused:
+        def __init__(self, workers):
+            raise AssertionError(f"a compute pool of {workers} was opened")
+
+    monkeypatch.setattr("repro.fuzz.campaign.ComputePool", Refused)
 
 
 def wait_until(predicate, timeout: float = 120.0, interval: float = 0.1):
@@ -114,6 +130,12 @@ class TestJobSpec:
     def test_bad_specs_rejected_at_submission(self, body):
         with pytest.raises(ProtocolError):
             JobSpec.from_dict(body)
+
+    @pytest.mark.parametrize("workers", BAD_WORKERS)
+    def test_bad_campaign_workers_rejected_at_submission(self, workers, refuse_pools):
+        spec = dict(TINY_CAMPAIGN.to_json(), workers=workers)
+        with pytest.raises(ProtocolError, match="workers"):
+            JobSpec.from_dict({"kind": "campaign", "spec": spec})
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +315,14 @@ class TestJobsHTTP:
         with pytest.raises(ServiceError) as excinfo:
             client.submit_job("campaign", {"batch_size": 0})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("workers", BAD_WORKERS)
+    def test_bad_campaign_workers_is_http_400(self, jobs_server, workers, refuse_pools):
+        client = client_for(jobs_server)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_job("campaign", dict(TINY_CAMPAIGN.to_json(), workers=workers))
+        assert excinfo.value.status == 400
+        assert client.jobs() == []
 
     def test_unknown_job_is_http_404(self, jobs_server):
         client = client_for(jobs_server)

@@ -85,7 +85,8 @@ class TestTracer:
 
     def test_explicit_parent_crosses_threads(self):
         """contextvars do not cross threads; the captured TraceContext
-        must — exactly how the scheduler parents its stage spans."""
+        must — the way a pool task's root span opens from a context the
+        dispatcher captured."""
         tracer = trace.Tracer()
         seen = {}
 
@@ -512,7 +513,7 @@ class TestInertness:
 
         config = CampaignConfig(
             seed=5, rounds=1, batch_size=4, seed_count=2,
-            workers=1, judge_workers=1, triage="divergent",
+            workers=1, triage="divergent",
         )
         plain = Campaign(config).run()
         with trace.installed(trace.Tracer()) as tracer:
