@@ -6,12 +6,12 @@ at one core no matter how well requests batch.  This bench drives the
 same cold corpus through two otherwise-identical daemons —
 
 * ``workers=0`` — the in-process executable spec;
-* ``workers=4`` — micro-batches fanned over a pre-forked
-  :class:`~repro.service.workers.WorkerPool`;
+* ``workers=4`` — micro-batches run as tasks in the service's
+  :class:`~repro.pipeline.pool.ComputePool`;
 
 with 16 concurrent clients each.  Requests pin the tree-walking
 ``walk`` backend: per-file compute must dominate the pool's fixed
-costs (forking, per-worker model build, pipe pickling) or the ratio
+costs (forking, per-worker model build, task pickling) or the ratio
 would measure overhead, not scaling.  Gates:
 
 * **throughput**: >= 2x with ``workers=4`` on a 4+ core host (on
@@ -21,7 +21,7 @@ would measure overhead, not scaling.  Gates:
   the in-process daemon's *and* a direct :class:`TestsuiteValidator`
   call, on every host;
 * **pool health**: 4 workers configured and alive, zero restarts —
-  scaling must not come from crash-respawn churn.
+  scaling must not come from crash-reopen churn.
 """
 
 from __future__ import annotations

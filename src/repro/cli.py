@@ -209,8 +209,9 @@ def _main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="pre-forked validation worker processes; micro-batches fan "
-             "out across them (0 = validate in-process, the default)",
+        help="validation worker processes, opened at start; each "
+             "micro-batch runs in one of them (0 = validate in-process, "
+             "the default)",
     )
     p_serve.add_argument("--model-seed", type=int, default=20240822)
     p_serve.add_argument(
@@ -557,6 +558,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import ExperimentConfig, Experiments
+    from repro.pipeline.pool import ComputeWorkerCrash
 
     if args.run_dir or args.resume:
         return _cmd_experiment_durable(args)
@@ -582,7 +584,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 print(f"unknown artifact {name!r}", file=sys.stderr)
                 return 2
         if args.jobs > 1:
-            exp.prefetch(artifacts=names)
+            try:
+                exp.prefetch(artifacts=names)
+            except ComputeWorkerCrash as exc:
+                print(f"experiment: {exc}", file=sys.stderr)
+                return 3
             _print_shard_summary(exp)
         for name in names:
             print(getattr(exp, name)().text)
@@ -602,6 +608,7 @@ def _cmd_experiment_durable(args: argparse.Namespace) -> int:
         load_run_spec,
         run_artifacts,
     )
+    from repro.pipeline.pool import ComputeWorkerCrash
 
     run_dir = args.resume or args.run_dir
     if args.resume:
@@ -643,6 +650,9 @@ def _cmd_experiment_durable(args: argparse.Namespace) -> int:
     except ValueError as exc:  # unknown artifact in spec
         print(f"experiment: {exc}", file=sys.stderr)
         return 2
+    except ComputeWorkerCrash as exc:
+        print(f"experiment: {exc}", file=sys.stderr)
+        return 3
     except KeyboardInterrupt:
         print(
             f"\nexperiment: interrupted — finished cells are checkpointed; "

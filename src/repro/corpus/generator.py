@@ -183,7 +183,6 @@ class CorpusGenerator:
         :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
         """
         from repro.obs import trace
-        from repro.obs.remote import absorb
         from repro.pipeline import pool
 
         spec = pool.ComputeSpec("corpus", "file", "corpus:worker-compute")
@@ -198,10 +197,7 @@ class CorpusGenerator:
                 for test in sorted(candidates, key=lambda t: len(t.source), reverse=True)
             }
             for passed, test in enumerate(candidates):
-                (compiled, results), spans, metrics_delta = workers.result(
-                    futures[test.name], spec, test.name
-                )
-                absorb(spans, metrics_delta)
+                compiled, results = workers.result(futures[test.name], spec, test.name)
                 failure = _failure(test, compiled, results.get(self.execution_backend))
                 if failure is not None:
                     return passed, failure

@@ -21,20 +21,20 @@ Protocol:
 1. :func:`plan` maps requested artifact names to the deduplicated cell
    set, ordered costliest-first (longest-processing-time scheduling,
    so the big Part-Two cells start before the small Part-One ones).
-2. :func:`run_cells` fans the cells over a process pool (``fork``
-   where available, ``spawn`` otherwise).  The worker entrypoint
-   (:func:`run_cell`) is spawn-safe — a module-level function taking
-   only picklable arguments: it rebuilds ``ExperimentConfig`` (with
-   ``jobs=1`` — workers never recurse) and a per-process
-   ``PipelineCache`` pointed at a *shared* on-disk cache directory, so
-   shards warm-start from and publish to the same execute/judge store
-   (merge-on-save with per-namespace file locking, see
-   :mod:`repro.cache.store`).
+2. :func:`run_cells` submits each cell as one task to a
+   :class:`~repro.pipeline.pool.ComputePool`, costliest first.  The
+   task (:func:`cell_task`, around :func:`run_cell`) rebuilds
+   ``ExperimentConfig`` (with ``jobs=1`` — workers never recurse) and a
+   per-task ``PipelineCache`` pointed at a *shared* on-disk cache
+   directory, so shards warm-start from and publish to the same
+   execute/judge store (merge-on-save with per-namespace file locking,
+   see :mod:`repro.cache.store`).  A worker killed mid-cell raises
+   :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming the cell.
 3. :func:`prefill` installs the returned reports into an
    :class:`~repro.experiments.runner.Experiments` instance, merges the
    shared cache back into the parent's in-memory bundle, and reads the
    cells' stage counts as a :class:`~repro.pipeline.stats.PipelineStats`
-   view (a pooled cell's counts arrive as its metrics delta).
+   view (a pooled cell's counts arrive as its task's metrics delta).
 
 Determinism: cells are seeded and self-contained (each worker builds
 its own model/generator from the config seeds), so a sharded run
@@ -45,9 +45,6 @@ tables and figures, asserted end-to-end by
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import os
 import pickle
 import tempfile
 import time
@@ -56,7 +53,9 @@ from pathlib import Path
 
 from repro.core.atomicio import atomic_write_bytes
 from repro.experiments.config import ExperimentConfig
+from repro.obs import trace
 from repro.obs.metrics import get_metrics
+from repro.pipeline import pool
 from repro.pipeline.stats import PipelineStats
 from repro.testing.faultinject import fault_point
 
@@ -158,15 +157,18 @@ class CellResult:
 
     Everything here crosses a process boundary by pickle; ``run`` is
     the runner's ``_Part2Run`` (reports, population, pipeline result —
-    all plain data).  ``metrics`` is the registry's growth while the
-    cell ran, ready for ``MetricsRegistry.apply``.
+    all plain data).  The cell's counts travel beside it, as its task's
+    metrics delta.
     """
 
     cell: Cell
     report: object = None  # MetricsReport (part1 cells)
     run: object = None  # _Part2Run (part2 cells)
     seconds: float = 0.0
-    metrics: dict | None = None
+
+
+#: how the experiment shards name their pool tasks
+SHARD = pool.ComputeSpec("shard", "cell", "experiment:worker-compute")
 
 
 def run_cell(
@@ -188,7 +190,6 @@ def run_cell(
         jobs=1,
         cache_dir=cache_dir if cache_dir is not None else config.cache_dir,
     )
-    baseline = get_metrics().export_state()
     exp = Experiments(worker_config)
     t0 = time.perf_counter()
     if cell.kind == "part1":
@@ -202,7 +203,16 @@ def run_cell(
         report=report,
         run=run,
         seconds=time.perf_counter() - t0,
-        metrics=get_metrics().diff(baseline)[0],
+    )
+
+
+def cell_task(
+    config: ExperimentConfig, cell: Cell, cache_dir: str | None, trace_ctx
+) -> tuple:
+    """One cell as a compute pool task (module-level: spawn-safe):
+    ``(CellResult, spans, metrics_delta)``."""
+    return pool.run_task(
+        SHARD, cell.name, trace_ctx, lambda: run_cell(config, cell, cache_dir)
     )
 
 
@@ -255,32 +265,24 @@ def load_cell_results(run_dir: str | Path) -> dict[str, CellResult]:
 # ----------------------------------------------------------------------
 
 
-def default_start_method() -> str:
-    """``fork`` where available (cheap start, no re-import), else
-    ``spawn``.  The entrypoint stays spawn-safe either way — a
-    module-level function taking only picklable arguments — so forcing
-    ``start_method="spawn"`` always works (and is what the tests pin)."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
 def run_cells(
     config: ExperimentConfig,
     cells: list[Cell],
     jobs: int | None = None,
     cache_dir: str | None = None,
-    start_method: str | None = None,
     checkpoint_dir: str | Path | None = None,
     stop=None,
 ) -> list[CellResult]:
-    """Fan ``cells`` over ``jobs`` worker processes; returns results in
+    """Run ``cells`` on ``jobs`` worker processes; returns results in
     the order of ``cells``.
 
     ``jobs`` defaults to ``config.jobs``.  With one job (or one cell)
     everything runs in-process — no pool, no pickling, identical
-    semantics.  ``start_method`` defaults to
-    :func:`default_start_method`; results always cross back by pickle,
-    so both start methods exercise the same (de)serialisation path,
-    and a pooled cell's metrics delta is applied here on arrival.
+    semantics.  Otherwise each cell is one task of a
+    :class:`~repro.pipeline.pool.ComputePool`, submitted costliest
+    first; its spans and metrics delta are absorbed on arrival, and a
+    worker's death raises
+    :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming the cell.
 
     ``checkpoint_dir`` persists each finished cell immediately (see
     :func:`save_cell_result`), so a killed run resumes without redoing
@@ -309,54 +311,22 @@ def run_cells(
     order = sorted(
         range(len(cells)), key=lambda i: estimated_cost(config, cells[i]), reverse=True
     )
-    ctx = multiprocessing.get_context(start_method or default_start_method())
-    with package_root_on_pythonpath():
-        with ctx.Pool(processes=min(jobs, len(cells))) as pool:
-            pending = {
-                i: pool.apply_async(run_cell, (config, cells[i], cache_dir))
-                for i in order
-            }
-            # collect in submission (roughly completion) order so each
-            # result is checkpointed as soon as it is available, not
-            # after the slowest cell lands
-            collected: dict[int, CellResult] = {}
-            for i in order:
-                result = pending[i].get()
-                get_metrics().apply(result.metrics)
-                if checkpoint_dir is not None:
-                    save_cell_result(checkpoint_dir, result)
-                collected[i] = result
-            results = [collected[i] for i in range(len(cells))]
-    return results
-
-
-@contextlib.contextmanager
-def package_root_on_pythonpath():
-    """Expose repro's root via PYTHONPATH while workers are spawned.
-
-    Spawned children re-import repro, which fails if the parent found
-    the package through sys.path manipulation only.  The mutation is
-    scoped to pool creation and undone afterwards, so unrelated
-    subprocesses launched later by an embedding application don't
-    inherit it.  Public because every process-pool layer needs it — the
-    experiment sharder here and the service's validation
-    :class:`~repro.service.workers.WorkerPool`.
-    """
-    src_root = str(Path(__file__).resolve().parents[2])
-    before = os.environ.get("PYTHONPATH")
-    if before is not None and src_root in before.split(os.pathsep):
-        yield
-        return
-    os.environ["PYTHONPATH"] = (
-        src_root if not before else src_root + os.pathsep + before
-    )
-    try:
-        yield
-    finally:
-        if before is None:
-            os.environ.pop("PYTHONPATH", None)
-        else:
-            os.environ["PYTHONPATH"] = before
+    collected: dict[int, CellResult] = {}
+    with pool.ComputePool(min(jobs, len(cells))) as workers:
+        ctx = trace.current()
+        futures = {
+            i: workers.submit(cell_task, config, cells[i], cache_dir, ctx)
+            for i in order
+        }
+        # collect in submission (roughly completion) order so each
+        # result is checkpointed as soon as it is available, not after
+        # the slowest cell lands
+        for i in order:
+            result = workers.result(futures[i], SHARD, cells[i].name)
+            if checkpoint_dir is not None:
+                save_cell_result(checkpoint_dir, result)
+            collected[i] = result
+    return [collected[i] for i in range(len(cells))]
 
 
 def prefill(

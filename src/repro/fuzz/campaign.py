@@ -36,7 +36,6 @@ from repro.cache.keys import content_key
 from repro.cache.wrappers import agent_judge_key
 from repro.obs import trace
 from repro.obs.metrics import get_metrics
-from repro.obs.remote import absorb
 from repro.pipeline.engine import count_stage, replay, stage_counters
 from repro.pipeline.pool import ComputePool
 from repro.pipeline.stats import counted_run
@@ -658,10 +657,9 @@ class Campaign:
                         counters,
                     )
                     continue
-                (done, lookups, llm_calls, cost), spans, metrics_delta = pool.result(
-                    futures[cand.index], CHAIN_SPEC, cand.test.name
+                done, lookups, llm_calls, cost = pool.result(
+                    futures[cand.index], CHAIN_SPEC, cand.test.name, registry
                 )
-                absorb(spans, metrics_delta, registry)
                 replay(self._lookup, lookups, self.model_sim, llm_calls)
                 cand.outcome, cand.judge = done.outcome, done.judge
                 pooled_cost[cand.index] = cost

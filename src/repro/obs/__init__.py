@@ -7,7 +7,7 @@ the repo holds with tracing on.
 
 * :mod:`repro.obs.trace`   — trace-id/span-id contexts, an ambient
   process tracer, picklable :class:`~repro.obs.trace.TraceContext`
-  for crossing the worker-pool pipe;
+  for crossing into a pool worker;
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms in a
   process registry: the one store for stage, cache and fuzz counts,
   merged across processes only as deltas;

@@ -1,14 +1,14 @@
 """Telemetry across a process boundary: the worker's side and the parent's.
 
-A pool worker (a validation worker of the daemon, a compute worker of
-a pooled validation run or fuzz campaign) runs each unit of work
+A :class:`~repro.pipeline.pool.ComputePool` worker runs each task
 through :meth:`WorkerTelemetry.run`.  With the dispatching span's
 :class:`~repro.obs.trace.TraceContext` it records into a fresh tracer
 whose root span opens from that context, so every span it ships is
 already parented under the dispatcher.  It also ships the metrics
 registry's growth since its last report.  The parent folds both in
-with :func:`absorb` — the one way spans and counts from another process
-enter this one.
+with :func:`absorb` (:meth:`ComputePool.result
+<repro.pipeline.pool.ComputePool.result>` calls it) — the one way
+spans and counts from another process enter this one.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ thread; crossing a *thread* or *process* boundary is explicit: capture
 :func:`current` where the work is submitted, pass the (picklable,
 frozen) :class:`TraceContext` along, and open the remote span with
 ``parent=ctx``.  Worker processes ship their finished spans home as
-plain dicts (see ``BatchResult.spans``); :meth:`Tracer.absorb` folds
+plain dicts beside each task's value; :meth:`Tracer.absorb` folds
 them into the parent's buffer, already parented under the dispatching
 span because the worker opened its root from the shipped context.
 

@@ -36,7 +36,6 @@ from repro.judge.llmj import AgentLLMJ, JudgeResult
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.obs.remote import absorb
 from repro.pipeline.pool import ComputePool, ComputeSpec, run_task
 from repro.pipeline.stats import PipelineStats, StageCounters, counted_run
 from repro.runtime.executor import ExecutionResult, Executor
@@ -365,10 +364,9 @@ class ValidationPipeline:
                 if i not in futures:
                     records.append(self.validate_file(test, lookup, counters))
                     continue
-                (record, lookups, llm_calls), spans, metrics_delta = pool.result(
-                    futures[i], spec, test.name
+                record, lookups, llm_calls = pool.result(
+                    futures[i], spec, test.name, registry
                 )
-                absorb(spans, metrics_delta, registry)
                 replay(lookup, lookups, self.model, llm_calls)
                 records.append(record)
         return records

@@ -37,7 +37,14 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import get_metrics, series
+
+
+#: the lifetime counts :meth:`MicroBatcher.snapshot` reports
+COUNTS = (
+    "submitted", "rejected", "completed", "failed", "batches",
+    "size_cutoffs", "latency_cutoffs", "key_cutoffs",
+)
 
 
 class BatchQueueFull(RuntimeError):
@@ -83,9 +90,9 @@ class MicroBatcher:
         How many batches may be *in flight* at once.  1 keeps the
         historical inline path.  Above 1, formed batches go to a
         bounded hand-off queue drained by this many dispatcher threads
-        — the shape the service uses over a process
-        :class:`~repro.service.workers.WorkerPool`, where each
-        dispatcher blocks on pipe I/O while a worker process does the
+        — the shape the service uses over its
+        :class:`~repro.pipeline.pool.ComputePool`, where each
+        dispatcher waits on a future while a worker process does the
         actual validation.  The hand-off queue is bounded at the
         dispatcher count, so when every worker is busy the collector
         blocks, the admission queue fills, and the 429 backpressure
@@ -123,21 +130,12 @@ class MicroBatcher:
         self._closed = threading.Event()
         self._drained = threading.Event()
         self._drain_mode = True
-        self._counter_lock = threading.Lock()
-        self._counters = {
-            "submitted": 0,
-            "rejected": 0,
-            "completed": 0,
-            "failed": 0,
-            "batches": 0,
-            "size_cutoffs": 0,
-            "latency_cutoffs": 0,
-            "key_cutoffs": 0,
-            "largest_batch": 0,
-        }
+        # snapshot() reports the registry's growth since this point
+        self._metrics_baseline = get_metrics().export_state()
+        self._largest_batch = 0
         # dispatch_workers > 1: formed batches hand off through a small
         # bounded queue to dispatcher threads, so several batches can be
-        # in flight (each typically parked on a worker-process pipe)
+        # in flight (each typically waiting on a worker process)
         self._dispatch_queue: queue.Queue | None = None
         self._dispatchers: list[threading.Thread] = []
         if dispatch_workers > 1:
@@ -184,10 +182,20 @@ class MicroBatcher:
     def closed(self) -> bool:
         return self._closed.is_set()
 
-    def snapshot(self) -> dict[str, int]:
-        """Live counters plus queue geometry, safe to call any time."""
-        with self._counter_lock:
-            counters = dict(self._counters)
+    def snapshot(self, delta: dict | None = None) -> dict[str, int]:
+        """Lifetime counts plus queue geometry, safe to call any time.
+
+        Each count is the growth of its ``service_batcher_<name>_total``
+        series in ``delta``, a registry diff (by default the growth
+        since this batcher started).
+        """
+        if delta is None:
+            delta = get_metrics().diff(self._metrics_baseline)[0]
+        counters = {
+            name: int(sum(v for _, v in series(delta, f"service_batcher_{name}_total")))
+            for name in COUNTS
+        }
+        counters["largest_batch"] = self._largest_batch
         counters["queue_depth"] = self.depth
         counters["queue_capacity"] = self.capacity
         counters["max_batch_size"] = self.max_batch_size
@@ -219,10 +227,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _bump(self, counter: str, by: int = 1) -> None:
-        with self._counter_lock:
-            self._counters[counter] += by
-        # mirror every lifetime counter into the metrics registry so
-        # /v1/metrics exposes the batcher without a second bookkeeping path
         get_metrics().counter(f"service_batcher_{counter}_total").inc(by)
 
     def _next(self, timeout: float) -> _Pending | None:
@@ -292,10 +296,8 @@ class MicroBatcher:
 
     def _dispatch(self, key: Any, batch: list[_Pending]) -> None:
         self._bump("batches")
-        with self._counter_lock:
-            self._counters["largest_batch"] = max(
-                self._counters["largest_batch"], len(batch)
-            )
+        # the collector is the only writer
+        self._largest_batch = max(self._largest_batch, len(batch))
         get_metrics().histogram(
             "service_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
         ).observe(len(batch))

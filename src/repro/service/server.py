@@ -3,9 +3,10 @@
 :class:`ValidationService` owns the domain side — one
 :class:`TestsuiteValidator` per distinct option set (all sharing one
 simulated model and one :class:`PipelineCache`), the micro-batcher
-that admission-controls ``/v1/validate``, optionally a pre-forked
-:class:`~repro.service.workers.WorkerPool` that batches fan out to
-(``workers=N``; ``workers=0`` validates in-process), and the
+that admission-controls ``/v1/validate``, optionally a
+:class:`~repro.pipeline.pool.ComputePool` that batches run in, one
+:func:`~repro.service.workers.batch_task` each (``workers=N``;
+``workers=0`` validates in-process), and the
 ``/v1/stats`` view, computed from the metrics registry's growth since
 the service started.  :class:`ValidationServer` is a thin
 ``ThreadingHTTPServer``: each connection gets a handler thread that
@@ -43,18 +44,19 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.cache.bundle import lookup_counts
 from repro.compiler.driver import testfile_language
-from repro.core.validator import TestsuiteValidator
 from repro.corpus.generator import TestFile
 from repro.judge.agent import ToolReport
 from repro.judge.llmj import AgentLLMJ
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
 from repro.obs.metrics import get_metrics, series
-from repro.obs.remote import absorb
+from repro.pipeline import pool as compute
+from repro.pipeline.pool import ComputeWorkerCrash
 from repro.pipeline.stats import PipelineStats
 from repro.service.batching import BatcherClosed, BatchQueueFull, MicroBatcher
 from repro.service.protocol import (
@@ -63,6 +65,14 @@ from repro.service.protocol import (
     ProtocolError,
     ValidateRequest,
     error_body,
+)
+from repro.service.workers import (
+    SERVE,
+    WorkerConfig,
+    batch_name,
+    batch_task,
+    execute_batch,
+    validator_factory,
 )
 from repro.testing.faultinject import fault_point
 
@@ -116,7 +126,6 @@ class ValidationService:
         retry_after: float = 1.0,
         jobs_dir: str | None = None,
         workers: int = 0,
-        worker_start_method: str | None = None,
         trace_log: str | None = None,
     ):
         # /v1/stats reports the registry's growth since this point
@@ -130,6 +139,29 @@ class ValidationService:
         if trace_log is not None:
             self._tracer = trace.Tracer()
             trace.install(self._tracer)
+        # workers >= 1: one compute pool for the service's life, opened
+        # before any thread of the service starts, and the batcher's
+        # dispatcher threads sized to it, so up to ``workers``
+        # micro-batches validate in parallel across cores.  workers == 0
+        # keeps the in-process path — the executable spec the pool must
+        # match byte for byte.
+        self.pool = None
+        if workers >= 1:
+            self._worker_config = WorkerConfig(
+                model_seed=model_seed,
+                cache_dir=(
+                    None
+                    if cache is None or cache.cache_dir is None
+                    else str(cache.cache_dir)
+                ),
+                use_cache=cache is not None,
+            )
+            self.pool = compute.ComputePool(workers, preload=False)
+            # a crash breaks the pool; the first dispatcher to see it
+            # reopens it, once per generation
+            self._pool_lock = threading.Lock()
+            self._pool_generation = 0
+            self._pool_closed = False
         self.jobs = None
         if jobs_dir is not None:
             # lazy import: a daemon without --jobs-dir never loads the
@@ -141,30 +173,10 @@ class ValidationService:
         self.model_seed = model_seed
         self.model = DeepSeekCoderSim(seed=model_seed)
         self.started_at = time.monotonic()
-        self._validators: dict[object, TestsuiteValidator] = {}
-        self._validators_lock = threading.Lock()
-        # workers >= 1: pre-fork a process pool and size the batcher's
-        # dispatcher threads to it, so up to ``workers`` micro-batches
-        # validate in parallel across cores.  workers == 0 keeps the
-        # in-process path — the executable spec the pool must match
-        # byte for byte.
-        self.pool = None
-        if workers >= 1:
-            from repro.service.workers import WorkerConfig, WorkerPool
-
-            self.pool = WorkerPool(
-                workers,
-                WorkerConfig(
-                    model_seed=model_seed,
-                    cache_dir=(
-                        None
-                        if cache is None or cache.cache_dir is None
-                        else str(cache.cache_dir)
-                    ),
-                    use_cache=cache is not None,
-                ),
-                start_method=worker_start_method,
-            )
+        self._validator_for = validator_factory(self.model, cache)
+        # the backends batches were validated under (/v1/stats)
+        self._backends: set[str] = set()
+        self._backends_lock = threading.Lock()
         self.batcher = MicroBatcher(
             self._run_batch,
             max_batch_size=max_batch_size,
@@ -254,7 +266,7 @@ class ValidationService:
         registry.gauge("service_queue_depth").set(self.batcher.depth)
         registry.gauge("service_queue_capacity").set(self.batcher.capacity)
         registry.gauge("service_workers_configured").set(
-            self.pool.size if self.pool is not None else 0
+            self.pool.workers if self.pool is not None else 0
         )
         registry.gauge("service_workers_alive").set(
             self.pool.alive if self.pool is not None else 0
@@ -297,9 +309,9 @@ class ValidationService:
             value for labels, value in series(delta, "service_requests_total")
             if labels["endpoint"] == "judge"
         )
-        batching = self.batcher.snapshot()
-        with self._validators_lock:
-            active = sorted({options.backend for options in self._validators})
+        batching = self.batcher.snapshot(delta)
+        with self._backends_lock:
+            active = sorted(self._backends)
         return {
             "service": {
                 "uptime_seconds": round(time.monotonic() - self.started_at, 3),
@@ -308,16 +320,14 @@ class ValidationService:
                 "validate_requests": batching["submitted"],
                 "judge_requests": int(judged),
                 "batching": batching,
-                "workers": (
-                    self.pool.snapshot()
-                    if self.pool is not None
-                    else {
-                        "configured": 0,
-                        "alive": 0,
-                        "restarts": 0,
-                        "batches_dispatched": 0,
-                    }
-                ),
+                "workers": {
+                    "configured": self.pool.workers if self.pool is not None else 0,
+                    "alive": self.pool.alive if self.pool is not None else 0,
+                    **{
+                        key: int(sum(v for _, v in series(delta, name)))
+                        for key, name in WORKER_COUNTS.items()
+                    },
+                },
                 # which backend produced served verdicts: the execute
                 # cache is backend-agnostic by design, so operators
                 # read this (not cache keys) to attribute a run
@@ -350,11 +360,14 @@ class ValidationService:
             self.jobs.checkpoint_and_stop(timeout=timeout)
         fault_point("drain:mid")
         parked = self.batcher.close(drain=True, timeout=timeout)
-        # the batcher has drained: no batch is in flight, so the pool's
-        # polite stop runs clean (each worker flushes its cache into the
-        # shared dir before exiting, ahead of the parent's own flush)
+        # the batcher has drained: no batch is in flight, so each worker
+        # exits at once and flushes its cache into the shared dir, ahead
+        # of the parent's own flush.  A batch still wedged after
+        # ``timeout`` has its worker terminated and fails.
         if self.pool is not None:
-            self.pool.close(timeout=timeout)
+            with self._pool_lock:
+                self._pool_closed = True
+                self.pool.close(30.0 if timeout is None else timeout)
         if self.cache is not None:
             self.cache.save()
         if self._tracer is not None:
@@ -372,35 +385,19 @@ class ValidationService:
     # batch execution (collector / dispatcher threads)
     # ------------------------------------------------------------------
 
-    def _validator_for(self, options) -> TestsuiteValidator:
-        with self._validators_lock:
-            validator = self._validators.get(options)
-            if validator is None:
-                validator = TestsuiteValidator(
-                    flavor=options.flavor,
-                    judge_kind=options.judge,
-                    early_exit=options.early_exit,
-                    workers=1,
-                    model=self.model,
-                    cache=self.cache,
-                    execution_backend=options.backend,
-                )
-                self._validators[options] = validator
-            return validator
-
     def _run_batch(self, options, payloads: list[_Admitted]) -> list[dict]:
         """One micro-batch -> one (or few) shared pipeline runs.
 
         The batch-execution logic itself lives in
         :func:`repro.service.workers.execute_batch` — this method only
-        decides *where* it runs (a pool worker process, or in-process
-        when ``workers=0``), then folds a pool worker's spans and
-        metrics delta in and stamps each response with its queue delay
-        (which only the parent knows).
+        decides *where* it runs (the compute pool, or in-process when
+        ``workers=0``), then folds a pool worker's spans and metrics
+        delta in and stamps each response with its queue delay (which
+        only the parent knows).
         """
-        from repro.service.workers import execute_batch
-
         requests = [payload.request.files for payload in payloads]
+        with self._backends_lock:
+            self._backends.add(options.backend)
         # the batch span re-attaches to the first admitted request's
         # context (contextvars don't cross into dispatcher threads);
         # sibling request ids ride along as an attribute so any one of
@@ -419,19 +416,73 @@ class ValidationService:
             pooled=self.pool is not None,
         ):
             if self.pool is not None:
-                result = self.pool.run_batch(options, requests)
+                responses = self._run_pooled(options, tuple(requests))
             else:
-                result = execute_batch(self._validator_for, options, requests)
+                responses = execute_batch(self._validator_for, options, requests)
         get_metrics().histogram("service_batch_seconds").observe(
             time.perf_counter() - t0
         )
-        # telemetry shipped home by a pool worker (None in-process)
-        absorb(result.spans, result.metrics_delta)
-        for payload, response in zip(payloads, result.responses):
+        for payload, response in zip(payloads, responses):
             response["timings"]["queued_ms"] = round(
                 (dispatched_at - payload.enqueued_at) * 1000, 3
             )
-        return result.responses
+        return responses
+
+    def _run_pooled(self, options, requests) -> list[dict]:
+        """One batch as a pool task; its responses.
+
+        Each attempt is a ``pool.dispatch`` span.  A worker crash
+        breaks the pool: it is reopened and the batch resubmitted once;
+        a second crash fails the batch.  An exception raised in a
+        healthy worker is not retried: the batch would repeat it.
+        """
+        registry = get_metrics()
+        registry.counter("service_worker_batches_total").inc()
+        pool, generation = self._pool_after(None)
+        if pool is None:
+            raise BatcherClosed("the service's worker pool is closed")
+        for attempt in (1, 2):
+            with trace.span("pool.dispatch", attempt=attempt) as span:
+                future = pool.submit(
+                    batch_task, self._worker_config, options, requests,
+                    trace.current(),
+                )
+                try:
+                    return pool.result(future, SERVE, batch_name(requests))
+                except ComputeWorkerCrash:
+                    span.attrs["crashed"] = True
+                    pool, generation = self._pool_after(generation)
+                    if pool is None or attempt == 2:
+                        raise
+                    registry.counter("service_worker_retries_total").inc()
+                except Exception:
+                    registry.counter("service_worker_batch_errors_total").inc()
+                    raise
+
+    def _pool_after(self, broken: int | None) -> tuple:
+        """The live pool and its generation, or ``(None, None)`` once
+        the drain closed it.  The pool is reopened first (a restart)
+        when generation ``broken`` is still current — one reopen per
+        breakage, however many dispatchers saw it — or when a worker
+        died idle, which loses no batch."""
+        with self._pool_lock:
+            if self._pool_closed:
+                return None, None
+            if broken == self._pool_generation or self.pool.alive < self.pool.workers:
+                self.pool.close()
+                self.pool = compute.ComputePool(self.pool.workers, preload=False)
+                self._pool_generation += 1
+                get_metrics().counter("service_worker_restarts_total").inc()
+            return self.pool, self._pool_generation
+
+
+#: ``/v1/stats`` → ``service.workers`` key -> the series it counts
+WORKER_COUNTS = {
+    "restarts": "service_worker_restarts_total",
+    "retries": "service_worker_retries_total",
+    "batches_dispatched": "service_worker_batches_total",
+    "batch_errors": "service_worker_batch_errors_total",
+}
 
 
 # ----------------------------------------------------------------------
@@ -543,12 +594,20 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ProtocolError(f"body is not valid JSON: {exc}") from exc
 
     @property
     def _service(self) -> ValidationService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """The stdlib's own rejections (a malformed request line or
+        header, an unknown method) in the daemon's JSON error shape."""
+        self.close_connection = True
+        self._error(code, message or HTTPStatus(code).phrase)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not getattr(self.server, "quiet", True):  # pragma: no cover
@@ -593,6 +652,15 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # client went away (possibly mid-response): nothing to answer
         except Exception as exc:  # noqa: BLE001 - daemon must not die
             self._error(500, f"internal error: {exc}")
+
+    def do_PUT(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self.close_connection = True
+        self._send(
+            405, error_body(f"method {self.command} not allowed"),
+            headers={"Allow": "GET, POST"},
+        )
+
+    do_DELETE = do_PATCH = do_PUT
 
     def _error(self, status: int, message: str) -> None:
         """Best-effort error response; the socket may already be dead."""

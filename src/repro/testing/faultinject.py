@@ -49,15 +49,14 @@ Instrumented points in this repo (grep ``fault_point(`` for the list):
   has been renamed into the run directory.
 - ``drain:mid`` — in the daemon's SIGTERM path, after jobs have
   checkpointed but before the batcher drains and the cache flushes.
-- ``worker:post-fork`` — first thing a pre-forked validation worker
-  does after re-arming faults from the environment, before building
-  its model/cache/validators.  ``kill`` here exercises the pool's
-  boot-crash respawn path.
-- ``worker:pre-result`` — in a validation worker, after a batch has
-  executed but before its result is sent back to the parent.  ``kill``
-  here is the canonical "worker died mid-batch" scenario: the parent
-  must detect the death, respawn, retry once, and still return
-  byte-identical verdicts.
+- ``service:worker-compute`` — in the daemon's compute pool worker,
+  before it validates a micro-batch.  Hit counts are per worker
+  process.
+- ``worker:pre-result`` — in the daemon's compute pool worker, after a
+  batch has executed but before its result goes back to the parent.
+  ``kill`` here is the canonical "worker died mid-batch" scenario: the
+  service must reopen its pool, resubmit the batch once, and still
+  return byte-identical verdicts.
 - ``fuzz:worker-compute`` — in a fuzz campaign's compute pool worker,
   before it runs a candidate's differential → triage chain.  ``kill`` here is "fuzz
   worker killed mid-candidate": the campaign must stop with
@@ -76,6 +75,12 @@ Instrumented points in this repo (grep ``fault_point(`` for the list):
   :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming the file
   (``llm4vv generate`` exits 3), and leave no pool child alive.  Hit
   counts are per worker process.
+- ``experiment:worker-compute`` — in a sharded experiment run's
+  compute pool worker, before it computes a cell.  ``kill`` here is
+  "shard worker killed mid-cell": ``run_cells`` must raise
+  :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming the cell
+  (``llm4vv experiment --jobs N`` exits 3), and leave no pool child
+  alive.  Hit counts are per worker process.
 
 Stdlib-only on purpose: everything else in the package may import this
 module without creating a cycle.

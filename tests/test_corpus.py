@@ -92,7 +92,7 @@ class TestGenerator:
     def test_a_compile_failure_without_stderr_names_the_file(self, monkeypatch):
         """Pooled or not, the recorded failure keeps the file's name and
         rc when the compiler prints nothing."""
-        from repro.experiments import sharding
+        from repro.pipeline import pool as compute
         from repro.pipeline.engine import MIN_POOLED_FILES
 
         def silent_failure(self, source, filename="<input>"):
@@ -102,7 +102,7 @@ class TestGenerator:
 
         monkeypatch.setattr(Compiler, "compile", silent_failure)
         # fork: the pool's workers inherit the failing compiler
-        monkeypatch.setattr(sharding, "default_start_method", lambda: "fork")
+        monkeypatch.setattr(compute, "default_start_method", lambda: "fork")
         failures = []
         for workers in (1, 2):
             generator = CorpusGenerator(seed=3, workers=workers)

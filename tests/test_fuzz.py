@@ -495,9 +495,9 @@ class TestDifferentialPool:
     pool; ``workers=1`` is the in-process spec it must match."""
 
     def test_spawned_pool_matches_the_in_process_digest(self, monkeypatch):
-        from repro.experiments import sharding
+        from repro.pipeline import pool as compute
 
-        monkeypatch.setattr(sharding, "default_start_method", lambda: "spawn")
+        monkeypatch.setattr(compute, "default_start_method", lambda: "spawn")
         config = small_config(rounds=1)
         serial = Campaign(replace(config, workers=1)).run()
         pooled = Campaign(config).run()
@@ -532,9 +532,9 @@ class TestDifferentialPool:
     def test_pooled_counts_equal_in_process_counts(
         self, start_method, triage, cached, monkeypatch
     ):
-        from repro.experiments import sharding
+        from repro.pipeline import pool as compute
 
-        monkeypatch.setattr(sharding, "default_start_method", lambda: start_method)
+        monkeypatch.setattr(compute, "default_start_method", lambda: start_method)
         config = small_config(rounds=1, triage=triage)
         runs = []
         for workers in (1, 2):
@@ -556,7 +556,7 @@ class TestDifferentialPool:
         """A pooled ``triage="all"`` campaign over a cache saved by the
         same campaign holds every chain whole: no candidate's
         differential or judgment is computed again."""
-        from repro.experiments import sharding
+        from repro.pipeline import pool as compute
         from repro.fuzz import differential
         from repro.judge.llmj import AgentLLMJ
 
@@ -571,7 +571,7 @@ class TestDifferentialPool:
             raise AssertionError("a cached chain was computed again")
 
         # forked workers inherit the patches
-        monkeypatch.setattr(sharding, "default_start_method", lambda: "fork")
+        monkeypatch.setattr(compute, "default_start_method", lambda: "fork")
         monkeypatch.setattr(AgentLLMJ, "judge", refuse)
         monkeypatch.setattr(differential, "compile_and_run", refuse)
         baseline = get_metrics().export_state()

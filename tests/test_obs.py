@@ -3,7 +3,8 @@
 The load-bearing properties under test:
 
 * spans form one tree per request even when the work crosses threads
-  and processes (the worker ships its spans home in ``BatchResult``);
+  and processes (a pool worker ships its spans home with its task's
+  value);
 * the metrics registry merges across processes exactly like
   ``PipelineStats`` — baseline, diff, apply;
 * ``GET /v1/metrics`` serves Prometheus text and ``X-Request-Id`` is
@@ -37,7 +38,6 @@ from repro.obs.metrics import (
 )
 from repro.service.protocol import ValidateOptions, ValidateRequest
 from repro.service.server import ValidationService, make_server
-from repro.service.workers import WorkerConfig, WorkerPool
 from repro.testing import faultinject
 
 OPTIONS = ValidateOptions(
@@ -405,16 +405,15 @@ class TestServiceTelemetry:
 class TestCrossProcessReassembly:
     def test_worker_spans_come_home_in_one_trace(self, valid_acc_source):
         tracer = trace.Tracer()
-        pool = WorkerPool(1, WorkerConfig())
-        try:
-            with trace.installed(tracer):
-                with tracer.span("service.batch") as batch:
-                    result = pool.run_batch(
-                        OPTIONS, [(("a.c", valid_acc_source),)]
-                    )
-                    trace.active().absorb(result.spans or [])
-        finally:
-            pool.close()
+        with trace.installed(tracer):
+            service = ValidationService(workers=1, max_latency=0.005)
+            try:
+                with tracer.span("service.request"):
+                    service.submit(
+                        ValidateRequest(files=(("a.c", valid_acc_source),), options=OPTIONS)
+                    ).result(timeout=120)
+            finally:
+                service.drain(timeout=30.0)
         spans = tracer.spans
         by_name = {s.name: s for s in spans}
         assert {"service.batch", "pool.dispatch", "worker.execute_batch",
@@ -428,19 +427,19 @@ class TestCrossProcessReassembly:
     ):
         """The kill-mid-batch scenario end to end: the trace must show
         both dispatch attempts (the first marked crashed) and the
-        counters must agree with the pool's own snapshot."""
+        counters must agree with ``/v1/stats``."""
         monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result@2=kill")
         tracer = trace.Tracer()
-        pool = WorkerPool(1, WorkerConfig())
-        try:
-            with trace.installed(tracer):
-                first = pool.run_batch(OPTIONS, [(("a.c", valid_acc_source),)])
-                second = pool.run_batch(OPTIONS, [(("b.c", valid_acc_source),)])
-                for result in (first, second):
-                    tracer.absorb(result.spans or [])
-            snap = pool.snapshot()
-        finally:
-            pool.close()
+        with trace.installed(tracer):
+            service = ValidationService(workers=1, max_latency=0.005)
+            try:
+                for name in ("a.c", "b.c"):
+                    service.submit(
+                        ValidateRequest(files=((name, valid_acc_source),), options=OPTIONS)
+                    ).result(timeout=120)
+                snap = service.stats_snapshot()["service"]["workers"]
+            finally:
+                service.drain(timeout=30.0)
         assert snap["restarts"] == 1 and snap["retries"] == 1
 
         dispatches = [s for s in tracer.spans if s.name == "pool.dispatch"]
@@ -459,7 +458,7 @@ class TestCrossProcessReassembly:
         # came home under the second dispatch span
         workers = [s for s in tracer.spans if s.name == "worker.execute_batch"]
         assert len(workers) == 2
-        assert workers[1].trace_id == retried[0].trace_id
+        assert workers[1].parent_id == retried[0].span_id
 
     def test_worker_metrics_deltas_fold_into_parent(self, valid_acc_source):
         service = ValidationService(workers=1, max_latency=0.005)

@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -40,7 +41,7 @@ from repro.pipeline.engine import PipelineConfig, ValidationPipeline
 from repro.pipeline.pool import ComputeWorkerCrash
 from repro.probing.prober import NegativeProber
 from repro.service.protocol import ValidateOptions, ValidateRequest, encode_verdict
-from repro.service.server import ValidationService
+from repro.service.server import MAX_BODY_BYTES, ValidationService
 from repro.testing import faultinject
 
 FLAVORS = ("acc", "omp")
@@ -113,12 +114,10 @@ class TestPooledIdentity:
     def test_verdict_bytes_and_counts_equal_the_in_process_run(
         self, corpus, reference, start_method, early_exit, monkeypatch
     ):
-        from repro.experiments import sharding
-
         expected = _run(corpus, workers=1, early_exit=early_exit, cache=PipelineCache())
         if early_exit:
             assert expected[0] == reference
-        monkeypatch.setattr(sharding, "default_start_method", lambda: start_method)
+        monkeypatch.setattr(pool, "default_start_method", lambda: start_method)
         pooled = _run(corpus, workers=2, early_exit=early_exit, cache=PipelineCache())
         assert pooled[0] == expected[0]
         assert pooled[1] == expected[1]
@@ -223,7 +222,6 @@ class TestPooledCache:
         holds execute and judge entries without the compiles they came
         from.  A pooled run over it judges nothing again: the cached
         judgments are served here, not recomputed in a worker."""
-        from repro.experiments import sharding
         from repro.judge.llmj import AgentLLMJ
 
         files = corpus["acc"]
@@ -239,7 +237,7 @@ class TestPooledCache:
             raise AssertionError(f"{test.name} was judged again")
 
         # forked workers inherit the patch
-        monkeypatch.setattr(sharding, "default_start_method", lambda: "fork")
+        monkeypatch.setattr(pool, "default_start_method", lambda: "fork")
         monkeypatch.setattr(AgentLLMJ, "judge", refuse)
         model = DeepSeekCoderSim()
         baseline = get_metrics().export_state()
@@ -298,7 +296,7 @@ def refuse_pools(monkeypatch, where=engine) -> list:
     opened = []
 
     class Refused:
-        def __init__(self, workers):
+        def __init__(self, workers, **kwargs):
             opened.append(workers)
             raise AssertionError("a compute pool was opened")
 
@@ -504,9 +502,9 @@ def count_pools(monkeypatch) -> list:
     opened = []
 
     class Counted(pool.ComputePool):
-        def __init__(self, workers):
+        def __init__(self, workers, **kwargs):
             opened.append(workers)
-            super().__init__(workers)
+            super().__init__(workers, **kwargs)
 
     monkeypatch.setattr(pool, "ComputePool", Counted)
     return opened
@@ -527,11 +525,9 @@ class TestPooledGeneration:
     def test_pooled_corpus_equals_the_in_process_corpus(
         self, model, count, step_limit, start_method, monkeypatch
     ):
-        from repro.experiments import sharding
-
         limit = {} if step_limit is None else {"step_limit": step_limit}
         expected = _generate(1, model, count, **limit)
-        monkeypatch.setattr(sharding, "default_start_method", lambda: start_method)
+        monkeypatch.setattr(pool, "default_start_method", lambda: start_method)
         opened = count_pools(monkeypatch)
         assert _generate(2, model, count, **limit) == expected
         assert opened == [2]
@@ -598,25 +594,46 @@ class TestGenerateCLIPool:
         _assert_sigkill_leaves_no_worker(proc, str(tmp_path))
 
 
-class TestDaemonStaysInProcess:
-    """The daemon's in-process service and its pool workers never open
-    a compute pool per batch."""
+class TestExperimentCLIPool:
+    def test_killed_shard_exits_3_with_the_message(self, tmp_path):
+        proc = _cli(
+            "experiment", "table3", "--scale", "tiny", "--jobs", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            fault="experiment:worker-compute@1=kill",
+        )
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3, err
+        assert "experiment: a shard worker process died while computing cell '" in err
+        time.sleep(1.0)
+        assert not _live_processes_mentioning(str(tmp_path))
 
-    @pytest.fixture()
-    def no_pool(self, monkeypatch):
-        return refuse_pools(monkeypatch)
+    def test_sigkilled_sharded_experiment_leaves_no_worker(self, tmp_path):
+        proc = _cli(
+            "experiment", "table3", "--scale", "tiny", "--jobs", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            fault="experiment:worker-compute=sleep:60",
+        )
+        _assert_sigkill_leaves_no_worker(proc, str(tmp_path))
+
+
+class TestDaemonPool:
+    """The daemon opens one compute pool at start (``workers >= 1``)
+    and none per batch: neither its in-process path nor its pool
+    workers open one."""
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_served_cold_batch_opens_no_pool(self, corpus, reference, no_pool, workers):
+    def test_served_cold_batch_opens_no_pool(self, corpus, reference, monkeypatch, workers):
         files = corpus["acc"][: engine.MIN_POOLED_FILES]
         options = ValidateOptions(
             flavor="acc", judge="direct", early_exit=True, backend="closure"
         )
-        # fork: the daemon's pool workers inherit the refusing ComputePool
-        service = ValidationService(
-            workers=workers, max_latency=0.005, worker_start_method="fork"
-        )
+        # fork: the daemon's pool workers inherit the refusing engine pool
+        monkeypatch.setattr(pool, "default_start_method", lambda: "fork")
+        refused = refuse_pools(monkeypatch)
+        opened = count_pools(monkeypatch)
+        service = ValidationService(workers=workers, max_latency=0.005)
         try:
+            assert opened == ([workers] if workers else [])
             request = ValidateRequest(
                 files=tuple((t.name, t.source) for t in files), options=options
             )
@@ -624,9 +641,112 @@ class TestDaemonStaysInProcess:
             children = multiprocessing.active_children()
         finally:
             service.drain(timeout=60.0)
-        assert no_pool == []
+        assert refused == []
+        assert opened == ([workers] if workers else [])
         assert len(children) == workers
         served = {
             v["name"]: json.dumps(v, sort_keys=True) for v in response["verdicts"]
         }
         assert served == {t.name: reference[t.name] for t in files}
+
+    def test_sigkilled_pooled_daemon_leaves_no_worker(self, tmp_path):
+        proc = _cli(
+            "serve", "--port", "0", "--workers", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        _assert_sigkill_leaves_no_worker(proc, str(tmp_path))
+
+
+def _raw_exchange(port: int, data: bytes, close_write: bool = False) -> tuple[int, dict]:
+    """Send ``data`` as is; the response's status and JSON body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+        conn.sendall(data)
+        if close_write:
+            conn.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _post(path: str, body: bytes, length: int | None = None, method: str = "POST") -> bytes:
+    length = len(body) if length is None else length
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    ).encode() + body
+
+
+class TestDaemonProtocolFuzz:
+    """Malformed traffic against a ``serve --workers 2`` daemon: each
+    case gets a typed 4xx (a JSON error body), never a 500; the SIGTERM
+    drain still ends within its bound, and no pool worker outlives the
+    daemon."""
+
+    CASES = {
+        "malformed JSON": (_post("/v1/validate", b'{"files": {"a.c": '), 400),
+        "invalid UTF-8": (_post("/v1/validate", b'{"files": "\xff\xfe"}'), 400),
+        "a list body": (_post("/v1/validate", b"[1, 2]"), 400),
+        "wrong field types": (_post("/v1/validate", b'{"files": 5}'), 400),
+        "bad options": (
+            _post("/v1/validate", b'{"files": {"a.c": "x"}, "options": {"flavor": 3}}'),
+            400,
+        ),
+        "a judge body without a name": (_post("/v1/judge", b'{"source": "x"}'), 400),
+        "a non-integer Content-Length": (
+            b"POST /v1/validate HTTP/1.1\r\nHost: x\r\nContent-Length: ten\r\n\r\n", 400,
+        ),
+        "a negative Content-Length": (_post("/v1/validate", b"", length=-5), 400),
+        "an oversized Content-Length": (
+            _post("/v1/validate", b"{}", length=MAX_BODY_BYTES + 1), 413,
+        ),
+        "a bad method": (_post("/v1/validate", b"{}", method="PUT"), 405),
+        "another bad method": (_post("/v1/stats", b"", method="DELETE"), 405),
+        "a bad path": (_post("/v1/nope", b"{}"), 404),
+        "a bad GET path": (b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n", 404),
+        "a garbage request line": (b"GET /a b HTTP/1.1\r\nHost: x\r\n\r\n", 400),
+    }
+
+    def test_malformed_requests_get_typed_4xx_and_the_drain_ends(self, tmp_path):
+        proc = _cli(
+            "serve", "--port", "0", "--workers", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        try:
+            line = proc.stdout.readline()
+            port = int(line.split("http://", 1)[1].split(" ", 1)[0].rsplit(":", 1)[1])
+            answers = {
+                case: _raw_exchange(port, data)
+                for case, (data, _) in self.CASES.items()
+            }
+            # a truncated body: the client closes its half mid-body
+            answers["a truncated body"] = _raw_exchange(
+                port, _post("/v1/validate", b'{"files": {', length=100),
+                close_write=True,
+            )
+            # a stalled body: the client goes silent mid-body
+            answers["a stalled body"] = _raw_exchange(
+                port, _post("/v1/validate", b'{"files": {', length=100)
+            )
+            expected = {case: status for case, (_, status) in self.CASES.items()}
+            expected["a truncated body"] = 400
+            expected["a stalled body"] = 408
+            assert {case: status for case, (status, _) in answers.items()} == expected
+            assert all(isinstance(body.get("error"), str) for _, body in answers.values())
+            # the daemon still serves
+            status, body = _raw_exchange(
+                port, b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            )
+            assert status == 200 and body["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+            assert proc.returncode == 0
+            deadline = time.monotonic() + 10
+            while _live_processes_mentioning(str(tmp_path)):
+                assert time.monotonic() < deadline, "a pool worker outlived the daemon"
+                time.sleep(0.2)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()

@@ -1,6 +1,9 @@
 """Unit and integration tests for the process-sharded experiment runner."""
 
+import multiprocessing
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -22,7 +25,10 @@ from repro.experiments.sharding import (
 )
 from repro.cache.bundle import lookup_counts
 from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.pipeline import pool
+from repro.pipeline.pool import ComputeWorkerCrash
 from repro.pipeline.stats import PipelineStats
+from repro.testing import faultinject
 
 
 class TestPlan:
@@ -92,10 +98,12 @@ class TestRunCell:
     def test_cell_result_shares_cache_dir(self, tmp_path):
         config = ExperimentConfig(scale="tiny")
         cold = run_cell(config, PART1_OMP, cache_dir=str(tmp_path))
+        baseline = get_metrics().export_state()
         warm = run_cell(config, PART1_OMP, cache_dir=str(tmp_path))
         assert warm.report == cold.report
         # the second process-equivalent warm-started from the shared dir
-        assert lookup_counts(warm.metrics)["judge"]["hits"] > 0
+        warm_lookups = lookup_counts(get_metrics().diff(baseline)[0])
+        assert warm_lookups["judge"]["hits"] > 0
 
     def test_worker_config_never_recurses(self):
         config = ExperimentConfig(scale="tiny", jobs=8)
@@ -134,13 +142,12 @@ class TestPrefill:
         lookups = lookup_counts(get_metrics().diff(baseline)[0])
         assert sum(n["hits"] + n["misses"] for n in lookups.values()) > 0
 
-    def test_entrypoint_is_spawn_safe(self):
-        """Pin the spawn start method explicitly: the worker function
-        and its arguments must survive a from-scratch interpreter."""
+    def test_entrypoint_is_spawn_safe(self, monkeypatch):
+        """Pin the spawn start method: the cell task and its arguments
+        must survive a from-scratch interpreter."""
+        monkeypatch.setattr(pool, "default_start_method", lambda: "spawn")
         config = ExperimentConfig(scale="tiny")
-        results = sharding.run_cells(
-            config, [PART1_ACC, PART1_OMP], jobs=2, start_method="spawn"
-        )
+        results = sharding.run_cells(config, [PART1_ACC, PART1_OMP], jobs=2)
         sequential = Experiments(config)
         assert results[0].report == sequential.part1_report("acc")
         assert results[1].report == sequential.part1_report("omp")
@@ -172,12 +179,49 @@ class TestCellResultPickles:
         """_Part2Run (records, stats, reports) must survive pickling —
         this is what workers actually send back."""
         config = ExperimentConfig(scale="tiny")
+        baseline = get_metrics().export_state()
         result = run_cell(config, Cell("part2", "omp"))
+        delta = get_metrics().diff(baseline)[0]
         clone: CellResult = pickle.loads(pickle.dumps(result))
         assert clone.run.llmj2_report == result.run.llmj2_report
         stats = result.run.pipeline1.stats
         assert clone.run.pipeline1.stats.summary() == stats.summary()
-        # the cell's shipped growth carries its pipeline's stage counts
-        assert clone.metrics == result.metrics
-        assert PipelineStats(result.metrics).judge.processed >= stats.judge.processed > 0
+        # the cell's growth, which a pooled cell ships beside its
+        # result, carries its pipeline's stage counts
+        assert PipelineStats(delta).judge.processed >= stats.judge.processed > 0
         assert len(clone.run.pipeline1.records) == len(result.run.pipeline1.records)
+
+
+class TestKilledShard:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_a_killed_cell_raises_a_typed_error_naming_it(
+        self, start_method, monkeypatch
+    ):
+        """A shard worker SIGKILLed mid-cell stops the run with
+        ComputeWorkerCrash naming the cell, within seconds, and leaves
+        no child alive (a lost ``multiprocessing.Pool`` task would
+        block forever)."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable")
+        monkeypatch.setattr(pool, "default_start_method", lambda: start_method)
+        monkeypatch.setenv(faultinject.ENV_VAR, "experiment:worker-compute@1=kill")
+        cells = [PART1_ACC, PART1_OMP]
+        raised = []
+
+        def crashing_run() -> None:
+            try:
+                sharding.run_cells(ExperimentConfig(scale="tiny"), cells, jobs=2)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                raised.append(exc)
+
+        runner = threading.Thread(target=crashing_run, daemon=True)
+        started = time.monotonic()
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the run hung on a dead shard worker"
+        assert time.monotonic() - started < 30
+        assert len(raised) == 1 and isinstance(raised[0], ComputeWorkerCrash), raised
+        message = str(raised[0])
+        assert "shard worker process died while computing cell '" in message
+        assert any(f"'{cell.name}'" in message for cell in cells)
+        assert multiprocessing.active_children() == []

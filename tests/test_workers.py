@@ -1,37 +1,34 @@
-"""The pre-forked validation worker pool: lifecycle, pickling, crashes.
+"""The daemon's validation workers: a compute pool behind the service.
 
-Everything here drives :class:`~repro.service.workers.WorkerPool` (and
-the service wired on top of it) with *real* worker processes — fork and
-spawn both — because the failure modes under test (a SIGKILLed worker
-mid-batch, a wedged worker at close, inherited fault-injection state)
-only exist across a process boundary.  Worker-side faults are armed
-through ``REPRO_FAULT_POINTS`` in the environment: the parent's
-programmatic ``install()`` state never reaches a worker, which re-reads
-the environment via ``faultinject.reset()`` on boot.
+Everything here drives :class:`~repro.service.server.ValidationService`
+with ``workers=N`` — one :class:`~repro.pipeline.pool.ComputePool`, one
+:func:`~repro.service.workers.batch_task` per micro-batch — with *real*
+worker processes, fork and spawn both, because the failure modes under
+test (a SIGKILLed worker mid-batch or idle, a wedged worker at drain,
+inherited fault-injection state) only exist across a process boundary.
+Worker-side faults are armed through ``REPRO_FAULT_POINTS`` in the
+environment: the parent's programmatic ``install()`` state never
+reaches a worker, which re-reads the environment when it starts.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-import pickle
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.core import TestsuiteValidator
-from repro.obs.metrics import get_metrics
-from repro.pipeline.stats import PipelineStats
+from repro.pipeline import pool
+from repro.pipeline.pool import ComputeWorkerCrash
+from repro.service.batching import BatcherClosed
 from repro.service.protocol import ValidateOptions, ValidateRequest
 from repro.service.server import ValidationService
-from repro.service.workers import (
-    BatchResult,
-    WorkerBatchError,
-    WorkerConfig,
-    WorkerPool,
-    execute_batch,
-)
+from repro.service.workers import execute_batch
 from repro.testing import faultinject
 
 OPTIONS = ValidateOptions(flavor="acc", judge="direct", early_exit=True, backend="closure")
@@ -67,8 +64,59 @@ def _validator_factory():
     return validator_for
 
 
-def _verdicts(result: BatchResult) -> list[list[str]]:
-    return [[v["verdict"] for v in r["verdicts"]] for r in result.responses]
+def _verdicts(responses) -> list[list[str]]:
+    return [[v["verdict"] for v in r["verdicts"]] for r in responses]
+
+
+def _service_validate(service: ValidationService, sources: dict[str, str]) -> dict:
+    request = ValidateRequest(files=tuple(sources.items()), options=OPTIONS)
+    return service.submit(request).result(timeout=120)
+
+
+def _workers(service: ValidationService) -> dict:
+    return service.stats_snapshot()["service"]["workers"]
+
+
+# ----------------------------------------------------------------------
+# the batch task and its in-process spec
+# ----------------------------------------------------------------------
+
+
+class TestBatchExecution:
+    def test_name_collisions_split_into_chunks(self, valid_acc_source):
+        """Two requests reusing a file name cannot share a pipeline run;
+        the batch splits and each request still gets its own verdict."""
+        requests = [
+            _request("same.c", valid_acc_source),
+            _request("same.c", valid_acc_source + "\nint broken( {\n"),
+        ]
+        responses = execute_batch(_validator_factory(), OPTIONS, requests)
+        assert _verdicts(responses) == [["valid"], ["invalid"]]
+        assert [r["batch"]["chunk"] for r in responses] == [1, 1]
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_served_verdicts_equal_in_process_execution(
+        self, start_method, valid_acc_source, monkeypatch
+    ):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable")
+        monkeypatch.setattr(pool, "default_start_method", lambda: start_method)
+        sources = {
+            "good.c": valid_acc_source,
+            "bad.c": valid_acc_source + "\nint broken( {\n",
+        }
+        control = execute_batch(
+            _validator_factory(), OPTIONS, [tuple(sources.items())]
+        )
+        service = ValidationService(workers=1, max_latency=0.005)
+        try:
+            pooled = _service_validate(service, sources)
+        finally:
+            service.drain(timeout=30.0)
+        assert json.dumps(pooled["verdicts"], sort_keys=True) == json.dumps(
+            control[0]["verdicts"], sort_keys=True
+        )
+        assert pooled["summary"] == control[0]["summary"]
 
 
 # ----------------------------------------------------------------------
@@ -78,97 +126,48 @@ def _verdicts(result: BatchResult) -> list[list[str]]:
 
 class TestPoolLifecycle:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_boot_run_close(self, start_method, valid_acc_source):
-        if start_method not in __import__("multiprocessing").get_all_start_methods():
+    def test_open_serve_drain(self, start_method, valid_acc_source, monkeypatch):
+        if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable")
-        pool = WorkerPool(2, WorkerConfig(), start_method=start_method)
+        monkeypatch.setattr(pool, "default_start_method", lambda: start_method)
+        service = ValidationService(workers=2, max_latency=0.005)
         try:
-            snap = pool.snapshot()
-            assert snap["configured"] == 2
-            assert snap["alive"] == 2
-            assert snap["start_method"] == start_method
-            result = pool.run_batch(OPTIONS, [_request("good.c", valid_acc_source)])
-            assert _verdicts(result) == [["valid"]]
-            assert pool.snapshot()["batches_dispatched"] == 1
+            assert _workers(service)["configured"] == 2
+            assert _workers(service)["alive"] == 2
+            response = _service_validate(service, {"good.c": valid_acc_source})
+            assert _verdicts([response]) == [["valid"]]
+            assert _workers(service)["batches_dispatched"] == 1
+            backends = service.stats_snapshot()["service"]["backends"]
+            assert backends["active"] == ["closure"]
         finally:
-            assert pool.close()
-        assert pool.snapshot()["alive"] == 0
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run_batch(OPTIONS, [_request("late.c", valid_acc_source)])
+            assert service.drain(timeout=30.0)
+        assert _workers(service)["alive"] == 0
+        assert multiprocessing.active_children() == []
+        with pytest.raises(BatcherClosed):
+            service.submit(ValidateRequest(files=_request("late.c", valid_acc_source)))
 
-    def test_pool_size_validated(self):
-        with pytest.raises(ValueError, match="pool size"):
-            WorkerPool(0, WorkerConfig())
+    def test_drain_terminates_a_wedged_worker(self, monkeypatch, valid_acc_source):
+        """A worker stuck in a batch cannot finish it; a bounded drain
+        must terminate it instead of waiting out the stall, and the
+        wedged request fails with the typed crash instead of hanging —
+        also under the CLI's SIGTERM handler, which a forked worker
+        would otherwise inherit."""
+        from repro.cli import _graceful_sigterm
 
-    def test_close_terminates_a_wedged_worker(self, monkeypatch):
-        """A worker that never reaches its recv loop (wedged at boot)
-        cannot honour the polite stop; close() must escalate to
-        terminate instead of hanging for the sleep's duration."""
-        monkeypatch.setenv(faultinject.ENV_VAR, "worker:post-fork=sleep:30")
-        pool = WorkerPool(1, WorkerConfig())
-        t0 = time.monotonic()
-        assert pool.close(timeout=0.5)
-        assert time.monotonic() - t0 < 10.0
-        assert pool.snapshot()["alive"] == 0
-
-
-# ----------------------------------------------------------------------
-# the batch payload crosses the pipe by pickle
-# ----------------------------------------------------------------------
-
-
-class TestBatchRoundTrip:
-    def test_batch_result_pickles_faithfully(self, valid_acc_source):
-        """The exact object workers ship back must survive pickling:
-        responses and the metrics delta, the only count it carries."""
-        baseline = get_metrics().export_state()
-        result = execute_batch(
-            _validator_factory(),
-            OPTIONS,
-            [
-                _request("good.c", valid_acc_source),
-                _request("variant.c", valid_acc_source.replace("3.0", "3.5")),
-            ],
-        )
-        result.metrics_delta = get_metrics().diff(baseline)[0]
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone.responses == result.responses
-        assert clone.metrics_delta == result.metrics_delta
-        assert PipelineStats(clone.metrics_delta).files_total == 2
-
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_worker_matches_in_process_execution(
-        self, start_method, valid_acc_source
-    ):
-        if start_method not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip(f"{start_method} unavailable")
-        requests = [
-            _request("good.c", valid_acc_source),
-            _request("bad.c", valid_acc_source + "\nint broken( {\n"),
-        ]
-        control = execute_batch(_validator_factory(), OPTIONS, requests)
-        pool = WorkerPool(1, WorkerConfig(), start_method=start_method)
-        try:
-            pooled = pool.run_batch(OPTIONS, requests)
-        finally:
-            pool.close()
-        assert [r["verdicts"] for r in pooled.responses] == [
-            r["verdicts"] for r in control.responses
-        ]
-        assert [r["summary"] for r in pooled.responses] == [
-            r["summary"] for r in control.responses
-        ]
-
-    def test_name_collisions_split_into_chunks(self, valid_acc_source):
-        """Two requests reusing a file name cannot share a pipeline run;
-        the batch splits and each request still gets its own verdict."""
-        requests = [
-            _request("same.c", valid_acc_source),
-            _request("same.c", valid_acc_source + "\nint broken( {\n"),
-        ]
-        result = execute_batch(_validator_factory(), OPTIONS, requests)
-        assert _verdicts(result) == [["valid"], ["invalid"]]
-        assert [r["batch"]["chunk"] for r in result.responses] == [1, 1]
+        monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result=sleep:30")
+        with _graceful_sigterm():
+            service = ValidationService(workers=1, max_latency=0.005)
+            future = service.submit(
+                ValidateRequest(files=_request("a.c", valid_acc_source), options=OPTIONS)
+            )
+            time.sleep(0.5)  # the batch is in the worker, stalled
+            t0 = time.monotonic()
+            assert not service.drain(timeout=0.5)  # the batch never finished
+            assert time.monotonic() - t0 < 10.0
+            with pytest.raises(ComputeWorkerCrash):
+                future.result(timeout=10.0)
+        assert service.pool.alive == 0
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -177,94 +176,120 @@ class TestBatchRoundTrip:
 
 
 class TestCrashTolerance:
-    def test_kill_mid_batch_retries_on_respawned_worker(
+    def test_kill_mid_batch_retries_on_a_reopened_pool(
         self, monkeypatch, valid_acc_source
     ):
         """The canonical failure: SIGKILL after the batch executed but
-        before its result was sent.  The parent must detect the death,
-        respawn the slot, retry once, and return verdicts identical to
-        an undisturbed run — counting one restart and one retry."""
+        before its result was sent.  The service must see the death,
+        reopen the pool, resubmit once, and return verdicts identical
+        to an undisturbed run — counting one restart and one retry."""
         monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result@2=kill")
         control = execute_batch(
             _validator_factory(), OPTIONS, [_request("b.c", valid_acc_source)]
         )
-        pool = WorkerPool(1, WorkerConfig())
+        service = ValidationService(workers=1, max_latency=0.005)
         try:
-            first = pool.run_batch(OPTIONS, [_request("a.c", valid_acc_source)])
-            assert _verdicts(first) == [["valid"]]
+            first = _service_validate(service, {"a.c": valid_acc_source})
+            assert _verdicts([first]) == [["valid"]]
             # the worker's second batch dies at worker:pre-result; the
-            # respawned worker's fresh hit counter lets the retry land
-            second = pool.run_batch(OPTIONS, [_request("b.c", valid_acc_source)])
-            snap = pool.snapshot()
+            # reopened pool's fresh hit counter lets the retry land
+            second = _service_validate(service, {"b.c": valid_acc_source})
+            snap = _workers(service)
         finally:
-            pool.close()
-        assert [r["verdicts"] for r in second.responses] == [
-            r["verdicts"] for r in control.responses
-        ]
+            service.drain(timeout=30.0)
+        assert second["verdicts"] == control[0]["verdicts"]
         assert snap["restarts"] == 1
         assert snap["retries"] == 1
         assert snap["alive"] == 1
 
-    def test_worker_killed_while_idle_is_replaced(self, valid_acc_source):
-        pool = WorkerPool(1, WorkerConfig())
+    def test_worker_killed_while_idle_is_replaced_without_retry(
+        self, valid_acc_source
+    ):
+        service = ValidationService(workers=1, max_latency=0.005)
         try:
-            victim = pool._workers[0].process
+            (victim,) = multiprocessing.active_children()
             os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10.0)
-            result = pool.run_batch(OPTIONS, [_request("a.c", valid_acc_source)])
-            assert _verdicts(result) == [["valid"]]
-            snap = pool.snapshot()
+            deadline = time.monotonic() + 10.0
+            while service.pool.alive:
+                assert time.monotonic() < deadline, "the killed worker never died"
+                time.sleep(0.05)
+            response = _service_validate(service, {"a.c": valid_acc_source})
+            assert _verdicts([response]) == [["valid"]]
+            snap = _workers(service)
         finally:
-            pool.close()
+            service.drain(timeout=30.0)
         assert snap["restarts"] == 1
         assert snap["retries"] == 0  # no batch was lost, so no retry
+        assert snap["alive"] == 1
 
     def test_worker_side_exception_fails_fast_without_retry(
         self, monkeypatch, valid_acc_source
     ):
         """A deterministic in-worker exception would just repeat on a
-        retry: it must surface as WorkerBatchError with the traceback,
-        leave the worker alive, and count no restart."""
+        retry: it must reach the request as raised, leave the worker
+        alive, and count no restart."""
         monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result=raise")
-        pool = WorkerPool(1, WorkerConfig())
+        service = ValidationService(workers=1, max_latency=0.005)
         try:
-            with pytest.raises(WorkerBatchError, match="FaultError"):
-                pool.run_batch(OPTIONS, [_request("a.c", valid_acc_source)])
-            snap = pool.snapshot()
+            with pytest.raises(faultinject.FaultError, match="worker:pre-result"):
+                _service_validate(service, {"a.c": valid_acc_source})
+            snap = _workers(service)
             assert snap["restarts"] == 0
+            assert snap["retries"] == 0
             assert snap["batch_errors"] == 1
             assert snap["alive"] == 1
             # the fault disarmed after one shot: the worker still serves
-            result = pool.run_batch(OPTIONS, [_request("b.c", valid_acc_source)])
-            assert _verdicts(result) == [["valid"]]
+            response = _service_validate(service, {"b.c": valid_acc_source})
+            assert _verdicts([response]) == [["valid"]]
         finally:
-            pool.close()
+            service.drain(timeout=30.0)
 
-    def test_second_crash_on_same_batch_propagates(self, monkeypatch, valid_acc_source):
+    def test_second_crash_on_same_batch_fails_it(self, monkeypatch, valid_acc_source):
         """Retry is once, not forever: a batch that kills its worker
-        every time must fail the request, not crash-loop the pool."""
+        every time must fail the request with a typed error, not
+        crash-loop the pool."""
         monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result=kill")
-        pool = WorkerPool(1, WorkerConfig())
+        service = ValidationService(workers=1, max_latency=0.005)
         try:
-            from repro.service.workers import WorkerCrash
-
-            with pytest.raises(WorkerCrash):
-                pool.run_batch(OPTIONS, [_request("a.c", valid_acc_source)])
-            snap = pool.snapshot()
+            with pytest.raises(ComputeWorkerCrash, match="batch 'a.c'"):
+                _service_validate(service, {"a.c": valid_acc_source})
+            snap = _workers(service)
         finally:
-            pool.close()
+            service.drain(timeout=30.0)
         assert snap["retries"] == 1
-        assert snap["restarts"] == 2  # original + the retry's replacement
+        assert snap["restarts"] == 2  # after the first crash and the retry's
+        assert snap["alive"] == 1
+
+    def test_one_breakage_seen_by_two_dispatchers_reopens_the_pool_once(
+        self, monkeypatch, valid_acc_source
+    ):
+        """Two batches in flight when one worker dies: the broken pool
+        fails both, the first dispatcher to see it reopens it, and both
+        batches are resubmitted to that one new pool."""
+        monkeypatch.setenv(faultinject.ENV_VAR, "service:worker-compute=sleep:1.5")
+        service = ValidationService(workers=2, max_batch_size=1, max_latency=0.0)
+        try:
+            futures = [
+                service.submit(
+                    ValidateRequest(files=_request(name, valid_acc_source), options=OPTIONS)
+                )
+                for name in ("a.c", "b.c")
+            ]
+            time.sleep(0.5)  # both batches sit in their workers
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+            responses = [future.result(timeout=60) for future in futures]
+            snap = _workers(service)
+        finally:
+            service.drain(timeout=30.0)
+        assert _verdicts(responses) == [["valid"], ["valid"]]
+        assert snap["restarts"] == 1
+        assert snap["retries"] == 2
+        assert snap["alive"] == 2
 
 
 # ----------------------------------------------------------------------
 # the service over the pool: stats merge + byte identity
 # ----------------------------------------------------------------------
-
-
-def _service_validate(service: ValidationService, sources: dict[str, str]) -> dict:
-    request = ValidateRequest(files=tuple(sources.items()), options=OPTIONS)
-    return service.submit(request).result(timeout=120)
 
 
 class TestServiceOverPool:
@@ -287,8 +312,11 @@ class TestServiceOverPool:
         # the repeat was served from the worker's cache; its lookups
         # reach the parent's summary through the delta
         assert snap["cache"]["hits"] >= 1
-        # drain closed the pool politely: workers flushed to the shared dir
-        assert (tmp_path / "cache").exists()
+        # the drain closed the pool: the worker flushed the judgment it
+        # made (the parent made none) into the shared dir
+        flushed = PipelineCache(cache_dir=tmp_path / "cache")
+        flushed.load()
+        assert flushed.judge.snapshot()["entries"] == 1
 
     def test_pooled_counts_equal_in_process_counts(self, valid_acc_source):
         """The merge path neither drops nor double-counts: the same
@@ -331,6 +359,7 @@ class TestServiceOverPool:
             finally:
                 service.drain(timeout=30.0)
             assert snap["service"]["batching"]["batches"] == len(batches)
+            assert snap["service"]["batching"]["largest_batch"] == 4
             pipeline = {
                 name: {k: stage[k] for k in ("processed", "passed", "failed", "skipped")}
                 for name, stage in snap["pipeline"]["stages"].items()
@@ -359,7 +388,9 @@ class TestServiceOverPool:
             "configured": 0,
             "alive": 0,
             "restarts": 0,
+            "retries": 0,
             "batches_dispatched": 0,
+            "batch_errors": 0,
         }
 
     def test_byte_identity_workers4_vs_workers0_over_corpus(self, acc_corpus):
@@ -384,3 +415,25 @@ class TestServiceOverPool:
                 service.drain(timeout=60.0)
 
         assert run(4) == run(0)
+
+    def test_concurrent_clients_over_the_pool_all_answer(self, valid_acc_source):
+        """Dispatchers share the pool: concurrent requests over two
+        workers all answer, each with the in-process verdict."""
+        service = ValidationService(workers=2, max_batch_size=2, max_latency=0.005)
+        results: list = []
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: results.append(
+                        _service_validate(service, {f"c{i}.c": valid_acc_source})
+                    )
+                )
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            service.drain(timeout=30.0)
+        assert _verdicts(results) == [["valid"]] * 6
