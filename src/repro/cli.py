@@ -199,9 +199,10 @@ def _main(argv: list[str] | None = None) -> int:
         help="micro-batch size cutoff: a full batch dispatches at once",
     )
     p_serve.add_argument(
-        "--max-latency-ms", type=float, default=20.0, metavar="MS",
-        help="micro-batch latency cutoff: an open batch waits at most "
-             "MS milliseconds for company",
+        "--max-latency-ms", type=float, default=10.0, metavar="MS",
+        help="batch window: a batch takes what is already queued, then "
+             "waits up to MS milliseconds for company (0: it dispatches "
+             "at once)",
     )
     p_serve.add_argument(
         "--queue-capacity", type=positive_int, default=64, metavar="N",
@@ -731,7 +732,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pool = f", workers={args.workers}" if args.workers else ""
     print(
         f"serving on http://{host}:{port} "
-        f"(batch<={args.max_batch}, latency<={args.max_latency_ms:g}ms, "
+        f"(batch<={args.max_batch}, window<={args.max_latency_ms:g}ms, "
         f"queue<={args.queue_capacity}{pool}) — {endpoints}",
         flush=True,
     )

@@ -175,7 +175,8 @@ class ComputePool:
     def close(self, timeout: float = CLOSE_TIMEOUT_S) -> None:
         """Stop every worker: each exits once its running task is done
         (a worker's exit hooks run then), and any still alive after
-        ``timeout`` seconds is terminated, failing its task's future."""
+        ``timeout`` seconds is terminated, failing its task's future.
+        ``timeout`` bounds the whole close, not each step of it."""
         executor = self._executor
         processes = list((executor._processes or {}).values())
         manager = executor._executor_manager_thread
@@ -188,7 +189,7 @@ class ComputePool:
                 process.terminate()
                 process.join()
         if manager is not None:
-            manager.join(timeout)
+            manager.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ComputePool":
         return self

@@ -1,15 +1,22 @@
-"""Micro-batching admission: bounded queue, collector thread, futures.
+"""Micro-batching admission: bounded queue, dispatcher threads, futures.
 
 The serving layer's core economics live here.  A request costs one
-queue slot; a collector thread pops slots and groups *compatible*
+queue slot; each dispatcher thread pulls its own batch of *compatible*
 requests (equal grouping keys — the service passes the frozen
-:class:`~repro.service.protocol.ValidateOptions` itself) into batches
-bounded by
-two knobs:
+:class:`~repro.service.protocol.ValidateOptions` itself) off that queue
+and runs it.  Dispatch is work-conserving: a dispatcher blocks for a
+first request, then takes, without waiting, every request already
+queued behind it with the same key, so batches form by themselves
+while every dispatcher is busy, and without a window a lone request
+runs at once.  Two knobs bound a batch:
 
 * ``max_batch_size`` — a full batch dispatches immediately;
-* ``max_latency`` — an open batch never waits longer than this for
-  company, so a lone request still answers promptly.
+* ``max_latency`` — an optional extra wait (default 0, none): with it
+  a dispatcher waits up to this long for company once the queue
+  behind its first request is empty.  The service defaults to 10 ms
+  (``ValidationService``, ``serve --max-latency-ms``): concurrent
+  clients then share a batch, and most of a request's latency is a
+  fixed wait instead of CPU time, which varies with the host's load.
 
 One batch becomes one pipeline run, so concurrent clients share one
 validator, one run's setup and the PipelineCache instead of paying
@@ -20,7 +27,7 @@ accumulating unbounded work.
 
 :meth:`close` is the graceful-drain half: no new admissions, every
 queued request still gets its answer (or, with ``drain=False``, a
-:class:`BatcherClosed` error), then the collector parks.
+:class:`BatcherClosed` error), then the dispatchers exit.
 
 The batcher is deliberately generic — payloads are opaque, grouping is
 by an opaque key, and the ``runner`` callback maps one batch of
@@ -76,10 +83,7 @@ class MicroBatcher:
     runner:
         ``runner(key, payloads) -> results`` with exactly one result
         per payload, in order.  An exception fails every future in the
-        batch.  With ``dispatch_workers=1`` (the default) it runs on
-        the collector thread: batches execute one at a time
-        (parallelism lives *inside* a batch, in the pipeline's worker
-        pools — the single-GPU serving model).
+        batch.  It runs on the dispatcher thread that formed the batch.
     max_batch_size / max_latency:
         The two cutoff knobs described above.
     capacity:
@@ -87,23 +91,20 @@ class MicroBatcher:
     retry_after:
         Advisory client backoff carried by :class:`BatchQueueFull`.
     dispatch_workers:
-        How many batches may be *in flight* at once.  1 keeps the
-        historical inline path.  Above 1, formed batches go to a
-        bounded hand-off queue drained by this many dispatcher threads
-        — the shape the service uses over its
+        How many dispatcher threads, i.e. how many batches may be in
+        flight at once.  The service sizes it to its
         :class:`~repro.pipeline.pool.ComputePool`, where each
         dispatcher waits on a future while a worker process does the
-        actual validation.  The hand-off queue is bounded at the
-        dispatcher count, so when every worker is busy the collector
-        blocks, the admission queue fills, and the 429 backpressure
-        contract survives unchanged.
+        actual validation.  Dispatchers form batches one at a time, in
+        queue order; when every one is busy, the admission queue fills
+        and :meth:`submit` starts raising 429s.
     """
 
     def __init__(
         self,
         runner: Callable[[Any, Sequence[Any]], Sequence[Any]],
         max_batch_size: int = 8,
-        max_latency: float = 0.02,
+        max_latency: float = 0.0,
         capacity: int = 64,
         retry_after: float = 1.0,
         dispatch_workers: int = 1,
@@ -125,33 +126,26 @@ class MicroBatcher:
 
         self._queue: queue.Queue[_Pending] = queue.Queue(maxsize=capacity)
         # admissions and close() serialise on this lock so no payload can
-        # slip into the queue after the collector's final drain sweep
+        # slip into the queue after a dispatcher's final empty poll
         self._admit_lock = threading.Lock()
         self._closed = threading.Event()
-        self._drained = threading.Event()
         self._drain_mode = True
+        # one dispatcher forms a batch at a time, so batches keep queue
+        # order; the request that ended a batch on a key change waits
+        # here as the next batch's first, for whichever dispatcher is free
+        self._take_lock = threading.Lock()
+        self._holdover: _Pending | None = None
         # snapshot() reports the registry's growth since this point
         self._metrics_baseline = get_metrics().export_state()
         self._largest_batch = 0
-        # dispatch_workers > 1: formed batches hand off through a small
-        # bounded queue to dispatcher threads, so several batches can be
-        # in flight (each typically waiting on a worker process)
-        self._dispatch_queue: queue.Queue | None = None
-        self._dispatchers: list[threading.Thread] = []
-        if dispatch_workers > 1:
-            self._dispatch_queue = queue.Queue(maxsize=dispatch_workers)
-            for i in range(dispatch_workers):
-                thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"microbatch-dispatch-{i}",
-                    daemon=True,
-                )
-                thread.start()
-                self._dispatchers.append(thread)
-        self._collector = threading.Thread(
-            target=self._collect, name="microbatch-collector", daemon=True
-        )
-        self._collector.start()
+        self._dispatchers = [
+            threading.Thread(
+                target=self._dispatch_loop, name=f"microbatch-dispatch-{i}", daemon=True
+            )
+            for i in range(dispatch_workers)
+        ]
+        for thread in self._dispatchers:
+            thread.start()
 
     # ------------------------------------------------------------------
     # admission
@@ -208,22 +202,24 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def close(self, drain: bool = True, timeout: float | None = 30.0) -> bool:
-        """Stop admitting; finish (or fail) queued work; park the collector.
+        """Stop admitting; finish (or fail) queued work; stop the dispatchers.
 
         With ``drain=True`` every already-admitted request completes
         normally.  With ``drain=False`` queued requests fail fast with
-        :class:`BatcherClosed`.  Returns True once the collector parked
-        within ``timeout`` seconds.
+        :class:`BatcherClosed`; batches already running still finish.
+        Returns True when every dispatcher exited within ``timeout``
+        seconds, one deadline for all of them.
         """
         self._drain_mode = drain
         with self._admit_lock:
             self._closed.set()
-        self._drained.wait(timeout)
-        self._collector.join(timeout)
-        return not self._collector.is_alive()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._dispatchers:
+            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in self._dispatchers)
 
     # ------------------------------------------------------------------
-    # collector
+    # dispatchers
     # ------------------------------------------------------------------
 
     def _bump(self, counter: str, by: int = 1) -> None:
@@ -235,89 +231,68 @@ class MicroBatcher:
         except queue.Empty:
             return None
 
-    def _collect(self) -> None:
-        holdover: _Pending | None = None
+    def _dispatch_loop(self) -> None:
         while True:
-            if self._closed.is_set() and not self._drain_mode:
-                break  # fail-fast close: leftovers are rejected below
-            first = holdover
-            holdover = None
-            if first is None:
-                first = self._next(timeout=0.05)
-            if first is None:
-                if self._closed.is_set():
-                    break
-                continue
+            with self._take_lock:
+                batch = self._take()
+            if batch is None:
+                return
+            self._execute(batch)
 
-            batch = [first]
-            deadline = time.monotonic() + self.max_latency
-            cutoff = "size"
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    cutoff = "latency"
-                    break
-                item = self._next(timeout=remaining)
-                if item is None:
-                    cutoff = "latency"
-                    break
-                if item.key != first.key:
-                    # incompatible request: close this batch, open the next
-                    holdover = item
-                    cutoff = "key"
-                    break
-                batch.append(item)
-
-            self._bump(f"{cutoff}_cutoffs")
-            self._dispatch(first.key, batch)
-
-        # closed: no new admissions can arrive; flush what remains
-        leftovers = [] if holdover is None else [holdover]
+    def _take(self) -> list[_Pending] | None:
+        """The next batch, or None once closed with nothing left to run."""
         while True:
-            item = self._next(timeout=0.0)
-            if item is None:
+            closed = self._closed.is_set()
+            if closed and not self._drain_mode:
+                self._fail_queued()
+                return None
+            first, self._holdover = self._holdover, None
+            if first is None:
+                # once closed, no admission can follow an empty poll
+                first = self._next(timeout=0.0 if closed else 0.05)
+            if first is not None:
                 break
-            leftovers.append(item)
-        if self._drain_mode:
-            for item in leftovers:
-                self._dispatch(item.key, [item])
-        else:
-            for item in leftovers:
-                item.future.set_exception(BatcherClosed("batcher closed before dispatch"))
-                self._bump("failed")
-        # park the dispatchers after their queue is empty: every formed
-        # batch (drain or not) already owns its futures and must finish
-        if self._dispatch_queue is not None:
-            for _ in self._dispatchers:
-                self._dispatch_queue.put(None)
-            for thread in self._dispatchers:
-                thread.join()
-        self._drained.set()
+            if closed:
+                return None
 
-    def _dispatch(self, key: Any, batch: list[_Pending]) -> None:
+        batch = [first]
+        deadline = time.monotonic() + self.max_latency
+        cutoff = "size"
+        while len(batch) < self.max_batch_size:
+            # what is already queued, then whatever arrives by the deadline
+            item = self._next(timeout=max(0.0, deadline - time.monotonic()))
+            if item is None:
+                cutoff = "latency"
+                break
+            if item.key != first.key:
+                # incompatible request: it opens the next batch
+                self._holdover = item
+                cutoff = "key"
+                break
+            batch.append(item)
+
+        self._bump(f"{cutoff}_cutoffs")
         self._bump("batches")
-        # the collector is the only writer
         self._largest_batch = max(self._largest_batch, len(batch))
         get_metrics().histogram(
             "service_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64)
         ).observe(len(batch))
-        if self._dispatch_queue is None:
-            self._execute(key, batch)
-        else:
-            # blocks when every dispatcher is busy — intentional: the
-            # admission queue then fills and submit() starts raising 429s
-            self._dispatch_queue.put((key, batch))
+        return batch
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._dispatch_queue.get()
-            if item is None:
-                return
-            self._execute(*item)
+    def _fail_queued(self) -> None:
+        """Fail-fast close: reject the holdover and every queued request."""
+        leftovers = [] if self._holdover is None else [self._holdover]
+        self._holdover = None
+        while (item := self._next(timeout=0.0)) is not None:
+            leftovers.append(item)
+        for item in leftovers:
+            item.future.set_exception(BatcherClosed("batcher closed before dispatch"))
+        if leftovers:
+            self._bump("failed", len(leftovers))
 
-    def _execute(self, key: Any, batch: list[_Pending]) -> None:
+    def _execute(self, batch: list[_Pending]) -> None:
         try:
-            results = self.runner(key, [item.payload for item in batch])
+            results = self.runner(batch[0].key, [item.payload for item in batch])
             if len(results) != len(batch):
                 raise RuntimeError(
                     f"runner returned {len(results)} results for a "

@@ -26,7 +26,7 @@ JUDGE_KINDS = ("direct", "indirect")
 BACKENDS = EXECUTION_BACKENDS
 
 #: Per-request file cap: one request is one admission-queue slot, so a
-#: giant request would starve the batch window for everyone else.
+#: giant request would hold up every batch queued behind it.
 MAX_FILES_PER_REQUEST = 16
 
 

@@ -103,8 +103,8 @@ class _Admitted:
     """One admitted validate request, stamped for queue-delay timing.
 
     ``trace_ctx``/``request_id`` carry the handler thread's span
-    context into the collector/dispatcher threads, where contextvars
-    do not propagate — the batch span re-attaches to them explicitly.
+    context into the dispatcher threads, where contextvars do not
+    propagate — the batch span re-attaches to them explicitly.
     """
 
     request: ValidateRequest
@@ -121,7 +121,7 @@ class ValidationService:
         cache=None,
         model_seed: int = 20240822,
         max_batch_size: int = 8,
-        max_latency: float = 0.02,
+        max_latency: float = 0.01,
         queue_capacity: int = 64,
         retry_after: float = 1.0,
         jobs_dir: str | None = None,
@@ -355,19 +355,28 @@ class ValidationService:
         flushes.  The ``drain:mid`` fault point sits between the two
         halves — a SIGKILL there must still leave a resumable journal,
         which is exactly what the crash-recovery tests inject.
+        ``timeout`` bounds the whole drain: each step gets what the
+        steps before it left.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def left(unbounded: float | None = None) -> float | None:
+            if deadline is None:
+                return unbounded
+            return max(0.0, deadline - time.monotonic())
+
         if self.jobs is not None:
-            self.jobs.checkpoint_and_stop(timeout=timeout)
+            self.jobs.checkpoint_and_stop(timeout=left())
         fault_point("drain:mid")
-        parked = self.batcher.close(drain=True, timeout=timeout)
+        parked = self.batcher.close(drain=True, timeout=left())
         # the batcher has drained: no batch is in flight, so each worker
         # exits at once and flushes its cache into the shared dir, ahead
-        # of the parent's own flush.  A batch still wedged after
-        # ``timeout`` has its worker terminated and fails.
+        # of the parent's own flush.  A batch still wedged at the
+        # deadline has its worker terminated and fails.
         if self.pool is not None:
             with self._pool_lock:
                 self._pool_closed = True
-                self.pool.close(30.0 if timeout is None else timeout)
+                self.pool.close(left(unbounded=30.0))
         if self.cache is not None:
             self.cache.save()
         if self._tracer is not None:
@@ -382,7 +391,7 @@ class ValidationService:
         return parked
 
     # ------------------------------------------------------------------
-    # batch execution (collector / dispatcher threads)
+    # batch execution (dispatcher threads)
     # ------------------------------------------------------------------
 
     def _run_batch(self, options, payloads: list[_Admitted]) -> list[dict]:
@@ -680,7 +689,7 @@ class _Handler(BaseHTTPRequestHandler):
         status = 200
         t0 = time.perf_counter()
         # the root span of everything this request causes: the batch
-        # span (collector thread), pool dispatch, worker-side pipeline
+        # span (dispatcher thread), pool dispatch, worker-side pipeline
         # spans — all reachable from this request_id in the span log
         with trace.span(
             "service.request",

@@ -252,6 +252,84 @@ class TestMicroBatcher:
         with pytest.raises(BatcherClosed):
             queued.result(10.0)
 
+    def test_default_window_batches_what_queued_behind_a_busy_runner(self):
+        batches = []
+        entered, gate = threading.Event(), threading.Event()
+
+        def gated(key, payloads):
+            batches.append(list(payloads))
+            entered.set()
+            gate.wait(10.0)
+            return list(payloads)
+
+        batcher = MicroBatcher(gated, capacity=8)  # max_latency=0: no window
+        first = batcher.submit("k", 0)
+        assert entered.wait(10.0)
+        queued = [batcher.submit("k", n) for n in (1, 2, 3)]
+        gate.set()
+        assert [f.result(10.0) for f in [first, *queued]] == [0, 1, 2, 3]
+        assert batches == [[0], [1, 2, 3]]
+        snapshot = batcher.snapshot()
+        assert snapshot["largest_batch"] == 3
+        assert snapshot["latency_cutoffs"] == 2  # nothing more was queued
+        assert batcher.close()
+
+    def test_two_dispatchers_keep_a_key_change_between_batches(self):
+        batches = []
+        busy, gate = threading.Semaphore(0), threading.Event()
+
+        def gated(key, payloads):
+            batches.append((key, list(payloads)))
+            if key == "busy":
+                busy.release()
+                gate.wait(10.0)
+            return list(payloads)
+
+        batcher = MicroBatcher(gated, capacity=8, dispatch_workers=2)
+        held = []
+        for n in range(2):  # occupy both dispatchers
+            held.append(batcher.submit("busy", n))
+            assert busy.acquire(timeout=10.0)
+        futures = [batcher.submit("a", 1), batcher.submit("b", 2), batcher.submit("a", 3)]
+        gate.set()
+        for future in held + futures:
+            future.result(10.0)
+        # a free dispatcher may start b before a1's batch runs, but no
+        # batch ever merges the two a's across b
+        assert sorted(batches[2:]) == [("a", [1]), ("a", [3]), ("b", [2])]
+        assert batcher.snapshot()["key_cutoffs"] >= 2
+        assert batcher.close()
+
+    def test_close_without_drain_fails_a_held_over_request(self):
+        batches = []
+        entered = threading.Semaphore(0)
+        gates = {"a1": threading.Event(), "a2": threading.Event()}
+
+        def gated(key, payloads):
+            batches.append(list(payloads))
+            entered.release()
+            gates[payloads[0]].wait(10.0)
+            return list(payloads)
+
+        batcher = MicroBatcher(gated, capacity=8)
+        a1 = batcher.submit("a", "a1")
+        assert entered.acquire(timeout=10.0)
+        a2, b1 = batcher.submit("a", "a2"), batcher.submit("b", "b1")
+        gates["a1"].set()
+        # the next batch is [a2]; b1 ended it and waits as a holdover
+        assert entered.acquire(timeout=10.0)
+        assert batcher.depth == 0
+        closer = threading.Thread(target=lambda: batcher.close(drain=False, timeout=10.0))
+        closer.start()
+        time.sleep(0.1)
+        gates["a2"].set()
+        closer.join(10.0)
+        assert a1.result(10.0) == "a1"
+        assert a2.result(10.0) == "a2"  # already dispatched: completes
+        with pytest.raises(BatcherClosed):
+            b1.result(10.0)
+        assert batches == [["a1"], ["a2"]]
+
 
 class TestConcurrencyStress:
     """32 simultaneous clients — well beyond what the rest of the suite
@@ -299,6 +377,46 @@ class TestConcurrencyStress:
         assert snapshot["failed"] == 0
         assert batcher.close()
         assert batcher.snapshot()["queue_depth"] == 0
+
+    def test_mixed_keys_across_dispatchers_lose_nothing(self):
+        """Dispatchers share the queue and the held-over request; with
+        keys alternating and thread switches forced often, every future
+        still resolves once with its own payload, and no batch mixes
+        keys."""
+        batches = []
+
+        def runner(key, payloads):
+            batches.append((key, list(payloads)))
+            return [(key, payload) for payload in payloads]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batcher = MicroBatcher(runner, max_batch_size=4, capacity=512, dispatch_workers=4)
+            results: dict[int, list] = {}
+
+            def client(cid: int) -> None:
+                futures = [
+                    batcher.submit("ab"[(cid + n) % 2], (cid, n)) for n in range(8)
+                ]
+                results[cid] = [future.result(60.0) for future in futures]
+
+            threads = [threading.Thread(target=client, args=(cid,)) for cid in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            assert batcher.close(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        for cid in range(8):
+            assert results[cid] == [("ab"[(cid + n) % 2], (cid, n)) for n in range(8)]
+        for key, payloads in batches:
+            assert all("ab"[(cid + n) % 2] == key for cid, n in payloads)
+        assert sorted(p for _, payloads in batches for p in payloads) == sorted(
+            (cid, n) for cid in range(8) for n in range(8)
+        )
 
     def test_429_only_when_genuinely_full(self):
         gate = threading.Event()

@@ -169,6 +169,23 @@ class TestPoolLifecycle:
         assert service.pool.alive == 0
         assert multiprocessing.active_children() == []
 
+    def test_drain_spends_its_timeout_once(self, monkeypatch, valid_acc_source):
+        """One deadline bounds the whole drain: the batcher's wait and
+        the pool's close share it instead of each spending it anew."""
+        monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result=sleep:30")
+        service = ValidationService(workers=1)
+        future = service.submit(
+            ValidateRequest(files=_request("a.c", valid_acc_source), options=OPTIONS)
+        )
+        time.sleep(0.5)  # the batch is in the worker, stalled
+        t0 = time.monotonic()
+        assert not service.drain(timeout=0.5)
+        assert time.monotonic() - t0 < 0.5 + 0.4
+        with pytest.raises(ComputeWorkerCrash):
+            future.result(timeout=10.0)
+        assert service.pool.alive == 0
+        assert multiprocessing.active_children() == []
+
 
 # ----------------------------------------------------------------------
 # crash tolerance
