@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.compiler.driver import testfile_language
 from repro.corpus.generator import TestFile
 from repro.llm.model import DeepSeekCoderSim
-from repro.pipeline.engine import PipelineConfig, PipelineRecord, ValidationPipeline
+from repro.pipeline.engine import Lookup, PipelineConfig, PipelineRecord, ValidationPipeline
 from repro.pipeline.stats import PipelineStats
 
 
@@ -139,9 +139,13 @@ class TestsuiteValidator:
 
     # ------------------------------------------------------------------
 
-    def validate(self, tests: list[TestFile]) -> ValidationReport:
-        """Validate prepared :class:`TestFile` objects."""
-        result = self.pipeline.run(tests, processes=self.processes)
+    def validate(
+        self, tests: list[TestFile], lookup: Lookup | None = None
+    ) -> ValidationReport:
+        """Validate prepared :class:`TestFile` objects (``lookup``: see
+        :meth:`ValidationPipeline.run
+        <repro.pipeline.engine.ValidationPipeline.run>`)."""
+        result = self.pipeline.run(tests, processes=self.processes, lookup=lookup)
         report = ValidationReport(stats=result.stats)
         for record in result.records:
             report.files.append(self._to_judged(record))
@@ -149,7 +153,11 @@ class TestsuiteValidator:
 
     def validate_sources(self, sources: dict[str, str]) -> ValidationReport:
         """Validate a mapping of filename → source text."""
-        tests = [
+        return self.validate(self.files_for(sources))
+
+    def files_for(self, sources: dict[str, str]) -> list[TestFile]:
+        """The :class:`TestFile` for each filename → source text."""
+        return [
             TestFile(
                 name=name,
                 language=testfile_language(name),
@@ -159,7 +167,6 @@ class TestsuiteValidator:
             )
             for name, source in sources.items()
         ]
-        return self.validate(tests)
 
     # ------------------------------------------------------------------
 

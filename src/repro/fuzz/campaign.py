@@ -657,10 +657,10 @@ class Campaign:
                         counters,
                     )
                     continue
-                done, lookups, llm_calls, cost = pool.result(
+                done, lookups, cost = pool.result(
                     futures[cand.index], CHAIN_SPEC, cand.test.name, registry
                 )
-                replay(self._lookup, lookups, self.model_sim, llm_calls)
+                replay(self._lookup, lookups, self.model_sim)
                 cand.outcome, cand.judge = done.outcome, done.judge
                 pooled_cost[cand.index] = cost
 

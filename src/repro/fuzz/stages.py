@@ -182,20 +182,18 @@ def chain_task(config, cand: Candidate, seeds: dict, trace_ctx) -> tuple:
     registry, with ``seeds`` (the parent's entries by key) served in
     front of the computation.
 
-    Its value is ``(cand, lookups, llm_calls, cost)``: ``lookups`` holds
-    every lookup the chain made, for the parent to
-    :func:`~repro.pipeline.engine.replay`, and ``llm_calls`` the
-    rebuilt model's :meth:`GenerationStats.totals
-    <repro.llm.model.GenerationStats.totals>`.
+    Its value is ``(cand, lookups, cost)``: ``lookups`` is the chain's
+    :func:`~repro.pipeline.engine.recording`, for the parent to
+    :func:`~repro.pipeline.engine.replay`.
     """
     runner, judge = chain_parts(config)
-    lookup, lookups = recording(seeds)
+    lookup, lookups = recording(seeds, judge.model)
 
     def chain() -> tuple:
         cost = differential_and_triage(
             cand, runner, judge, config.triage, lookup,
             stage_counters(get_metrics(), STAGES),
         )
-        return cand, lookups, judge.model.stats.totals(), cost
+        return cand, lookups, cost
 
     return run_task(CHAIN_SPEC, cand.test.name, trace_ctx, chain)

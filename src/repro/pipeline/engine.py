@@ -241,7 +241,9 @@ class ValidationPipeline:
 
     # ------------------------------------------------------------------
 
-    def run(self, files: list[TestFile], processes: int = 1) -> PipelineResult:
+    def run(
+        self, files: list[TestFile], processes: int = 1, lookup: Lookup | None = None
+    ) -> PipelineResult:
         """Validate ``files``; records come back in their order.
 
         ``processes=1`` calls :meth:`validate_file` in a loop on this
@@ -253,11 +255,13 @@ class ValidationPipeline:
         :meth:`_run_pooled`).  A dead worker raises
         :class:`~repro.pipeline.pool.ComputeWorkerCrash`.  Either way,
         every judgment the run computes counts into ``model.stats``.
+        ``lookup`` replaces the lookup in :attr:`cache` (a pool task
+        passes its :func:`recording`).
         """
         if processes > 1 and self.environment is not None:
             raise ValueError("a pooled run cannot apply an environment model")
         with counted_run(len(files), ",".join(STAGES)) as registry:
-            lookup, counters = self._lookup(), stage_counters(registry)
+            lookup, counters = lookup or self._lookup(), stage_counters(registry)
             records = None
             if processes > 1:
                 records = self._run_pooled(files, processes, lookup, registry, counters)
@@ -325,19 +329,19 @@ class ValidationPipeline:
     ) -> list[PipelineRecord] | None:
         """A pooled run's records, or None when it should stay in-process.
 
-        1. Peeking (uncounted), find each file's cached prefix: the
-           compile and execute entries the cache holds.  A file whose
-           chain should run here (see :meth:`_cached_prefix`), or whose
-           twin (same compile key) went to the pool first, runs here.
+        1. Find the entries the cache holds for each file's chain
+           (:meth:`held_entries`).  A file runs here when they are the
+           whole chain, or hold its execution without its compile (the
+           compile cache is memory-only, so a cache loaded from disk
+           does that; the file compiles here, ~2 ms, and its later
+           lookups likely hit), or when its twin (same compile key)
+           went to the pool first.
         2. Send every other file's chain to the pool as one task, its
-           prefix in front, longest source first.  The worker rebuilds
+           entries in front, longest source first.  The worker rebuilds
            the judge from the model's seed and context size, so only a
            plain :class:`DeepSeekCoderSim` pools.
-        3. In file order, replay each task's lookups against the cache
-           (the counted lookups an in-process run makes), store what it
-           computed, and fold in its spans and stage counts.  When its
-           judgment is the one kept, its model calls count into
-           ``model.stats``.
+        3. In file order, :func:`replay` each task's lookups against the
+           cache and fold in its spans and stage counts.
         """
         if type(self.model) is not DeepSeekCoderSim:
             return None
@@ -345,10 +349,10 @@ class ValidationPipeline:
         pooled_keys = set()
         for i, test in enumerate(files):
             key = compile_key(self.compiler.fingerprint(), test.name, test.source)
-            prefix = {} if self.cache is None else self._cached_prefix(test, key)
-            if key not in pooled_keys and prefix is not None:
+            held, whole = self.held_entries(test)
+            if not (whole or key in pooled_keys or (held and key not in held)):
                 pooled_keys.add(key)
-                seeds[i] = prefix
+                seeds[i] = held
         if len(seeds) < MIN_POOLED_FILES:
             return None
         spec = ComputeSpec("pipeline", "file", "pipeline:worker-compute")
@@ -364,33 +368,33 @@ class ValidationPipeline:
                 if i not in futures:
                     records.append(self.validate_file(test, lookup, counters))
                     continue
-                record, lookups, llm_calls = pool.result(
-                    futures[i], spec, test.name, registry
-                )
-                replay(lookup, lookups, self.model, llm_calls)
+                record, lookups = pool.result(futures[i], spec, test.name, registry)
+                replay(lookup, lookups, self.model)
                 records.append(record)
         return records
 
-    def _cached_prefix(self, test: TestFile, key: str) -> dict | None:
-        """The compile and execute entries the cache holds for ``test``,
-        by key; None when its chain should run here: the cache holds all
-        of it, or holds its execution without its compile.  The compile
-        cache is memory-only, so a cache loaded from disk does that; the
-        file compiles here (~2 ms) and its later lookups likely hit."""
+    def held_entries(self, test: TestFile) -> tuple[dict, bool]:
+        """The compile, execute and judge entries the cache holds for
+        ``test``'s chain, by key (peeked, uncounted), and whether they
+        are the whole chain: every lookup it makes would hit."""
+        if self.cache is None:
+            return {}, False
+        key = compile_key(self.compiler.fingerprint(), test.name, test.source)
         ekey = execute_key(key, self.config.step_limit)
         compiled = self.cache.compile.peek(key)
         executed = self.cache.execute.peek(ekey)
-        if compiled is None:
-            return None if executed is not None else {}
-        prefix = {k: v for k, v in ((key, compiled), (ekey, executed)) if v is not None}
-        if compiled.ok and executed is None:
-            return prefix
+        held = {k: v for k, v in ((key, compiled), (ekey, executed)) if v is not None}
+        if compiled is None or (compiled.ok and executed is None):
+            return held, False
         executed = executed if compiled.ok else None
         if self._ends_early(compiled, executed):
-            return None
+            return held, True
         report = _record(test, compiled, executed).tool_report()
-        judged = self.cache.judge.peek(agent_judge_key(self.judge, test, report))
-        return None if judged is not None else prefix
+        jkey = agent_judge_key(self.judge, test, report)
+        judged = self.cache.judge.peek(jkey)
+        if judged is None:
+            return held, False
+        return {**held, jkey: judged}, True
 
 
 def _record(
@@ -445,57 +449,57 @@ def _validate_task(
     counted into this worker's registry, with ``seeds`` (the parent's
     entries by key) served in front of the computation.
 
-    Its value is ``(record, lookups, llm_calls)``: ``lookups`` holds the
-    ``(namespace, key, value)`` of every lookup the chain made, in
-    order, for the parent to replay against its cache, and
-    ``llm_calls`` the rebuilt model's :meth:`GenerationStats.totals
-    <repro.llm.model.GenerationStats.totals>`.
+    Its value is ``(record, lookups)``: ``lookups`` is the chain's
+    :func:`recording`, for the parent to :func:`replay`.
     """
     seed, max_context_tokens = model
     pipeline = ValidationPipeline(
         config, model=DeepSeekCoderSim(seed=seed, max_context_tokens=max_context_tokens)
     )
-    lookup, lookups = recording(seeds)
+    lookup, lookups = recording(seeds, pipeline.model)
 
     def chain() -> tuple:
         record = pipeline.validate_file(test, lookup, stage_counters(get_metrics()))
-        return record, lookups, pipeline.model.stats.totals()
+        return record, lookups
 
     return run_task(spec, test.name, trace_ctx, chain)
 
 
-def recording(seeds: dict) -> tuple[Lookup, list]:
+def recording(seeds: dict, model: DeepSeekCoderSim) -> tuple[Lookup, list]:
     """A pool task's lookup, and the list it records into.
 
-    The lookup serves ``seeds`` (the parent's entries, by key) in front
-    of the computation and appends the ``(namespace, key, value)`` of
-    every lookup, in order, for the parent to :func:`replay`.
+    The lookup serves ``seeds`` (the parent's entries, by key), and what
+    the task already computed, in front of the computation.  It appends
+    ``(namespace, key, value, llm_calls)`` for every lookup, in order,
+    for the parent to :func:`replay`: ``llm_calls`` is the
+    :meth:`GenerationStats.totals
+    <repro.llm.model.GenerationStats.totals>` of the ``model`` calls
+    the computation made, None for a served value.
     """
+    served = dict(seeds)
     lookups = []
 
     def lookup(namespace: str, key: str, compute: Callable[[], Any]) -> Any:
-        value = seeds.get(key)
+        value, llm_calls = served.get(key), None
         if value is None:
-            value = compute()
-        lookups.append((namespace, key, value))
+            before = model.stats.totals()
+            value = served[key] = compute()
+            llm_calls = tuple(a - b for a, b in zip(model.stats.totals(), before))
+        lookups.append((namespace, key, value, llm_calls))
         return value
 
     return lookup, lookups
 
 
-def replay(
-    lookup: Lookup, lookups: list, model: DeepSeekCoderSim, llm_calls: tuple
-) -> None:
+def replay(lookup: Lookup, lookups: list, model: DeepSeekCoderSim) -> None:
     """Replay a pool task's recorded ``lookups`` against ``lookup``: the
     counted lookups an in-process run makes, storing what the task
-    computed.  When the task's judgment is the one kept, its model calls
-    (``llm_calls``, a :meth:`GenerationStats.totals
-    <repro.llm.model.GenerationStats.totals>`) count into
-    ``model.stats``."""
-    for namespace, key, value in lookups:
+    computed.  A computed value that ``lookup`` keeps counts its model
+    calls into ``model.stats``."""
+    for namespace, key, value, llm_calls in lookups:
 
-        def keep(namespace=namespace, value=value) -> Any:
-            if namespace == "judge":
+        def keep(value=value, llm_calls=llm_calls) -> Any:
+            if llm_calls is not None:
                 model.stats.add(llm_calls)
             return value
 

@@ -19,7 +19,8 @@ users:
   generator's backend alone;
 * the daemon (:class:`~repro.service.server.ValidationService` with
   ``workers >= 1``): one pool for the service's life, one
-  :func:`~repro.service.workers.batch_task` per micro-batch;
+  :func:`~repro.service.workers.batch_task` per micro-batch, its
+  chains past the cache entries the parent already holds;
 * experiment sharding (:func:`~repro.experiments.sharding.run_cells`
   with ``jobs >= 2``): one task per cell, costliest first.
 
@@ -28,11 +29,10 @@ it works under fork and spawn alike.  It runs through :func:`run_task`,
 which passes the user's fault point and records the task's spans and
 metrics delta; the reply carries them home with the task's value, and
 :meth:`ComputePool.result` folds them in.  Caches never cross a task
-boundary: the parent reads and fills them.  Two users keep a cache in
-the worker instead, pointed at a shared on-disk directory
-(merge-on-save): the daemon's batch task, one per worker process for
-the pool's life, and an experiment cell, one per task.  Each user's
-in-process path is the spec a pooled run must match byte for byte.
+boundary: the parent reads and fills them.  Only an experiment cell
+keeps a cache in the worker instead, one per task, pointed at a shared
+on-disk directory (merge-on-save).  Each user's in-process path is the
+spec a pooled run must match byte for byte.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@
 simulated model and one :class:`PipelineCache`), the micro-batcher
 that admission-controls ``/v1/validate``, optionally a
 :class:`~repro.pipeline.pool.ComputePool` that batches run in, one
-:func:`~repro.service.workers.batch_task` each (``workers=N``;
-``workers=0`` validates in-process), and the
+:func:`~repro.service.workers.batch_task` each over the service's
+cache (``workers=N``; ``workers=0`` validates in-process), and the
 ``/v1/stats`` view, computed from the metrics registry's growth since
 the service started.  :class:`ValidationServer` is a thin
 ``ThreadingHTTPServer``: each connection gets a handler thread that
@@ -56,6 +56,7 @@ from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
 from repro.obs.metrics import get_metrics, series
 from repro.pipeline import pool as compute
+from repro.pipeline.engine import cached, replay, uncached
 from repro.pipeline.pool import ComputeWorkerCrash
 from repro.pipeline.stats import PipelineStats
 from repro.service.batching import BatcherClosed, BatchQueueFull, MicroBatcher
@@ -68,8 +69,8 @@ from repro.service.protocol import (
 )
 from repro.service.workers import (
     SERVE,
-    WorkerConfig,
     batch_name,
+    batch_seeds,
     batch_task,
     execute_batch,
     validator_factory,
@@ -147,15 +148,6 @@ class ValidationService:
         # match byte for byte.
         self.pool = None
         if workers >= 1:
-            self._worker_config = WorkerConfig(
-                model_seed=model_seed,
-                cache_dir=(
-                    None
-                    if cache is None or cache.cache_dir is None
-                    else str(cache.cache_dir)
-                ),
-                use_cache=cache is not None,
-            )
             self.pool = compute.ComputePool(workers, preload=False)
             # a crash breaks the pool; the first dispatcher to see it
             # reopens it, once per generation
@@ -174,6 +166,8 @@ class ValidationService:
         self.model = DeepSeekCoderSim(seed=model_seed)
         self.started_at = time.monotonic()
         self._validator_for = validator_factory(self.model, cache)
+        # where a pool task's recorded lookups are replayed
+        self._lookup = uncached if cache is None else cached(cache)
         # the backends batches were validated under (/v1/stats)
         self._backends: set[str] = set()
         self._backends_lock = threading.Lock()
@@ -285,7 +279,7 @@ class ValidationService:
 
     def _cache_section(self, delta: dict) -> dict | None:
         """Each namespace's entries, with its hits and misses read from
-        ``delta`` (pool workers' lookups arrive there too)."""
+        ``delta`` (a pool task's lookups count there when replayed)."""
         if self.cache is None:
             return None
         lookups = lookup_counts(delta)
@@ -370,9 +364,8 @@ class ValidationService:
         fault_point("drain:mid")
         parked = self.batcher.close(drain=True, timeout=left())
         # the batcher has drained: no batch is in flight, so each worker
-        # exits at once and flushes its cache into the shared dir, ahead
-        # of the parent's own flush.  A batch still wedged at the
-        # deadline has its worker terminated and fails.
+        # exits at once.  A batch still wedged at the deadline has its
+        # worker terminated and fails.
         if self.pool is not None:
             with self._pool_lock:
                 self._pool_closed = True
@@ -438,26 +431,33 @@ class ValidationService:
         return responses
 
     def _run_pooled(self, options, requests) -> list[dict]:
-        """One batch as a pool task; its responses.
+        """One batch as a pool task over the service's cache; its
+        responses.
 
-        Each attempt is a ``pool.dispatch`` span.  A worker crash
-        breaks the pool: it is reopened and the batch resubmitted once;
-        a second crash fails the batch.  An exception raised in a
-        healthy worker is not retried: the batch would repeat it.
+        The task starts from the entries the cache holds for the
+        batch's chains, and its recorded lookups are replayed against
+        the cache once it returns: they count and store there as the
+        in-process path's do.  Each attempt is a ``pool.dispatch`` span.
+        A worker crash breaks the pool: it is reopened and the batch
+        resubmitted once (the lost attempt replays nothing); a second
+        crash fails the batch.  An exception raised in a healthy worker
+        is not retried: the batch would repeat it.
         """
         registry = get_metrics()
         registry.counter("service_worker_batches_total").inc()
         pool, generation = self._pool_after(None)
         if pool is None:
             raise BatcherClosed("the service's worker pool is closed")
+        seeds = batch_seeds(self._validator_for(options), requests)
         for attempt in (1, 2):
             with trace.span("pool.dispatch", attempt=attempt) as span:
                 future = pool.submit(
-                    batch_task, self._worker_config, options, requests,
+                    batch_task, self.model_seed, options, requests, seeds,
                     trace.current(),
                 )
                 try:
-                    return pool.result(future, SERVE, batch_name(requests))
+                    responses, lookups = pool.result(future, SERVE, batch_name(requests))
+                    break
                 except ComputeWorkerCrash:
                     span.attrs["crashed"] = True
                     pool, generation = self._pool_after(generation)
@@ -467,6 +467,8 @@ class ValidationService:
                 except Exception:
                     registry.counter("service_worker_batch_errors_total").inc()
                     raise
+        replay(self._lookup, lookups, self.model)
+        return responses
 
     def _pool_after(self, broken: int | None) -> tuple:
         """The live pool and its generation, or ``(None, None)`` once

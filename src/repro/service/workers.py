@@ -7,27 +7,30 @@ opens one :class:`~repro.pipeline.pool.ComputePool` of N processes at
 start and sends each micro-batch to it as one :func:`batch_task`; the
 service retries a batch once after a worker crash.
 
-Each worker builds its validation stack from the picklable
-:class:`WorkerConfig` at its first batch and keeps it for its life: its
-own judge model (a pure function of the seed, so verdicts cannot
-drift), its own validators, and its own :class:`PipelineCache` loaded
-from the *shared* flock-safe ``--cache-dir``, into which it flushes
-(merge-on-save) when it exits cleanly at the pool's close.
+The service's cache stays in the parent, as a pooled ``validate``
+run's does.  The parent sends a batch with the entries its cache holds
+for the batch's chains (:func:`batch_seeds`).  The task builds a judge
+model and validators, and runs :func:`execute_batch` over a
+:func:`~repro.pipeline.engine.recording` of those entries.  The parent
+then replays the recorded lookups against its cache
+(:func:`~repro.pipeline.engine.replay`), which counts them and stores
+what the task computed.
 
 ``workers=0`` keeps the pool out of the loop: the service runs
-:func:`execute_batch` in-process, byte for byte the code the task runs —
-the executable spec the scaling benchmark's identity gate holds the
-pool to.
+:func:`execute_batch` in-process over its cache, byte for byte the code
+the task runs — the executable spec the scaling benchmark's identity
+gate holds the pool to.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.validator import TestsuiteValidator
+from repro.llm.model import DeepSeekCoderSim
+from repro.pipeline.engine import Lookup, recording
 from repro.pipeline.pool import ComputeSpec, run_task
 from repro.service.protocol import encode_verdict
 from repro.testing.faultinject import fault_point
@@ -37,27 +40,11 @@ from repro.testing.faultinject import fault_point
 SERVE = ComputeSpec("execute_batch", "batch", "service:worker-compute")
 
 
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs to rebuild the validation stack.
-
-    Picklable (it crosses the spawn boundary) and hashable (it keys a
-    worker's stack).  A worker batch validates in-process, as the
-    in-process service does.
-    """
-
-    model_seed: int = 20240822
-    #: shared flock-safe cache directory, or None for a private
-    #: in-memory cache (still correct, just cold per worker)
-    cache_dir: str | None = None
-    #: False disables caching inside workers entirely (--no-cache)
-    use_cache: bool = True
-
-
 def execute_batch(
     validator_for: Callable,
     options,
     requests: Sequence[Sequence[tuple[str, str]]],
+    lookup: Lookup | None = None,
 ) -> list[dict]:
     """One micro-batch -> one (or few) shared pipeline runs.
 
@@ -66,7 +53,8 @@ def execute_batch(
 
     All requests share ``options`` (the batcher groups by it), so their
     files fan through one validator — one pipeline run, one shared
-    cache.  The only reason to split a batch is a
+    cache lookup (the validator's cache, or ``lookup`` when given).
+    The only reason to split a batch is a
     file-name collision between requests: names must be unique within a
     pipeline run, so colliding requests go to a follow-up chunk
     (correctness over batching efficiency).
@@ -90,7 +78,7 @@ def execute_batch(
         for index in chunk:
             sources.update(dict(requests[index]))
         t0 = time.perf_counter()
-        report = validator.validate_sources(sources)
+        report = validator.validate(validator.files_for(sources), lookup)
         wall_ms = round((time.perf_counter() - t0) * 1000, 3)
         stage_snapshot = report.stats.snapshot()["stages"]
         for index in chunk:
@@ -146,28 +134,15 @@ def validator_factory(model, cache) -> Callable:
     return validator_for
 
 
-#: this worker process's validator factory per config, built at its
-#: first batch and kept for the process's life
-_stacks: dict[WorkerConfig, Callable] = {}
-
-
-def _worker_stack(config: WorkerConfig) -> Callable:
-    """This process's validator factory for ``config``; its cache
-    flushes into the shared directory when the worker exits cleanly."""
-    if config not in _stacks:
-        from multiprocessing.util import Finalize
-
-        from repro.cache.bundle import PipelineCache
-        from repro.llm.model import DeepSeekCoderSim
-
-        cache = None
-        if config.use_cache:
-            cache = PipelineCache(cache_dir=config.cache_dir)
-            cache.load()
-            Finalize(None, cache.save, exitpriority=10)
-        model = DeepSeekCoderSim(seed=config.model_seed)
-        _stacks[config] = validator_factory(model, cache)
-    return _stacks[config]
+def batch_seeds(validator: TestsuiteValidator, requests) -> dict:
+    """The entries ``validator``'s cache holds for the chains of
+    ``requests``' files, by key (peeked, uncounted): a batch task's
+    seeds."""
+    seeds: dict = {}
+    for request in requests:
+        for test in validator.files_for(dict(request)):
+            seeds.update(validator.pipeline.held_entries(test)[0])
+    return seeds
 
 
 def batch_name(requests: Sequence[Sequence[tuple[str, str]]]) -> str:
@@ -175,18 +150,24 @@ def batch_name(requests: Sequence[Sequence[tuple[str, str]]]) -> str:
     return ",".join(name for request in requests for name, _ in request)
 
 
-def batch_task(config: WorkerConfig, options, requests, trace_ctx) -> tuple:
+def batch_task(model_seed: int, options, requests, seeds: dict, trace_ctx) -> tuple:
     """One micro-batch as a compute pool task (module-level:
-    spawn-safe): ``(responses, spans, metrics_delta)`` from
-    :func:`execute_batch` under a ``worker.execute_batch`` span.
+    spawn-safe): ``((responses, lookups), spans, metrics_delta)`` from
+    :func:`execute_batch` under a ``worker.execute_batch`` span, over a
+    :func:`~repro.pipeline.engine.recording` of ``seeds`` (the parent's
+    entries, by key) and a judge model seeded with ``model_seed``.
 
     The ``worker:pre-result`` fault point sits after the work, before
     the reply: ``kill`` there is the canonical "worker died mid-batch".
     """
-    validator_for = _worker_stack(config)
+    model = DeepSeekCoderSim(seed=model_seed)
+    lookup, lookups = recording(seeds, model)
     reply = run_task(
         SERVE, batch_name(requests), trace_ctx,
-        lambda: execute_batch(validator_for, options, requests),
+        lambda: (
+            execute_batch(validator_factory(model, None), options, requests, lookup),
+            lookups,
+        ),
     )
     fault_point("worker:pre-result")
     return reply

@@ -77,6 +77,22 @@ def _workers(service: ValidationService) -> dict:
     return service.stats_snapshot()["service"]["workers"]
 
 
+def _counts(snap: dict) -> tuple[dict, dict]:
+    """A ``/v1/stats`` snapshot's pipeline counts, and its cache hits,
+    misses and entries by namespace."""
+    pipeline = {
+        name: {k: stage[k] for k in ("processed", "passed", "failed", "skipped")}
+        for name, stage in snap["pipeline"]["stages"].items()
+    }
+    pipeline["files_total"] = snap["pipeline"]["files_total"]
+    cache = {
+        name: (ns["hits"], ns["misses"], ns["entries"])
+        for name, ns in snap["cache"]["namespaces"].items()
+    }
+    cache["total"] = (snap["cache"]["hits"], snap["cache"]["misses"])
+    return pipeline, cache
+
+
 # ----------------------------------------------------------------------
 # the batch task and its in-process spec
 # ----------------------------------------------------------------------
@@ -199,25 +215,35 @@ class TestCrashTolerance:
         """The canonical failure: SIGKILL after the batch executed but
         before its result was sent.  The service must see the death,
         reopen the pool, resubmit once, and return verdicts identical
-        to an undisturbed run — counting one restart and one retry."""
+        to an undisturbed in-process run — counting one restart and one
+        retry.  The lost attempt's lookups never reach the cache and the
+        retry's count once, so ``/v1/stats`` pipeline and cache counts
+        equal the undisturbed run's too."""
+        from repro.cache.bundle import PipelineCache
+
+        def serve(workers: int) -> tuple[list, dict, tuple]:
+            service = ValidationService(
+                cache=PipelineCache(), workers=workers, max_latency=0.005
+            )
+            try:
+                first = _service_validate(service, {"a.c": valid_acc_source})
+                assert _verdicts([first]) == [["valid"]]
+                second = _service_validate(service, {"b.c": valid_acc_source})
+                snap = service.stats_snapshot()
+            finally:
+                service.drain(timeout=30.0)
+            return second["verdicts"], snap["service"]["workers"], _counts(snap)
+
+        control = serve(0)
+        # the worker's second batch dies at worker:pre-result; the
+        # reopened pool's fresh hit counter lets the retry land
         monkeypatch.setenv(faultinject.ENV_VAR, "worker:pre-result@2=kill")
-        control = execute_batch(
-            _validator_factory(), OPTIONS, [_request("b.c", valid_acc_source)]
-        )
-        service = ValidationService(workers=1, max_latency=0.005)
-        try:
-            first = _service_validate(service, {"a.c": valid_acc_source})
-            assert _verdicts([first]) == [["valid"]]
-            # the worker's second batch dies at worker:pre-result; the
-            # reopened pool's fresh hit counter lets the retry land
-            second = _service_validate(service, {"b.c": valid_acc_source})
-            snap = _workers(service)
-        finally:
-            service.drain(timeout=30.0)
-        assert second["verdicts"] == control[0]["verdicts"]
+        verdicts, snap, counts = serve(1)
+        assert verdicts == control[0]
         assert snap["restarts"] == 1
         assert snap["retries"] == 1
         assert snap["alive"] == 1
+        assert counts == control[2]
 
     def test_worker_killed_while_idle_is_replaced_without_retry(
         self, valid_acc_source
@@ -326,11 +352,13 @@ class TestServiceOverPool:
         assert snap["service"]["workers"]["configured"] == 1
         assert snap["service"]["workers"]["batches_dispatched"] == 2
         assert snap["pipeline"]["stages"]["compile"]["processed"] == 2
-        # the repeat was served from the worker's cache; its lookups
-        # reach the parent's summary through the delta
-        assert snap["cache"]["hits"] >= 1
-        # the drain closed the pool: the worker flushed the judgment it
-        # made (the parent made none) into the shared dir
+        # the repeat was served from the service's cache: the first
+        # batch's replay stored what the worker computed, and the
+        # second's lookups all hit
+        assert snap["cache"]["hits"] == 3
+        assert snap["cache"]["misses"] == 3
+        assert cache.judge.snapshot()["entries"] == 1
+        # the drain saved the service's cache into its dir
         flushed = PipelineCache(cache_dir=tmp_path / "cache")
         flushed.load()
         assert flushed.judge.snapshot()["entries"] == 1
@@ -342,8 +370,8 @@ class TestServiceOverPool:
 
         Each batch is submitted whole (four requests, the batch size),
         so it runs on one worker; a batch repeats its own requests, and
-        file names never recur across batches, so every repeat is a
-        cache hit whichever worker a batch lands on.
+        the third batch repeats the first's, on whichever worker it
+        lands.
         """
         from repro.cache.bundle import PipelineCache
 
@@ -361,6 +389,7 @@ class TestServiceOverPool:
                 f"{tag}other.c": valid_acc_source.replace("3.0", "3.5"),
             })
             batches.append([first, second, first, second])
+        batches.append(batches[0])
 
         def counts(workers: int) -> tuple[dict, dict]:
             service = ValidationService(
@@ -377,23 +406,46 @@ class TestServiceOverPool:
                 service.drain(timeout=30.0)
             assert snap["service"]["batching"]["batches"] == len(batches)
             assert snap["service"]["batching"]["largest_batch"] == 4
-            pipeline = {
-                name: {k: stage[k] for k in ("processed", "passed", "failed", "skipped")}
-                for name, stage in snap["pipeline"]["stages"].items()
-            }
-            pipeline["files_total"] = snap["pipeline"]["files_total"]
-            cache = {
-                name: (ns["hits"], ns["misses"])
-                for name, ns in snap["cache"]["namespaces"].items()
-            }
-            cache["total"] = (snap["cache"]["hits"], snap["cache"]["misses"])
-            return pipeline, cache
+            return _counts(snap)
 
         in_process = counts(0)
-        assert in_process[0]["files_total"] == 12
-        assert in_process[0]["judge"]["skipped"] == 4
+        assert in_process[0]["files_total"] == 18
+        assert in_process[0]["judge"]["skipped"] == 6
         assert in_process[1]["total"][0] > 0  # the repeats hit
         assert counts(2) == in_process
+
+    def test_pooled_counts_over_a_cache_loaded_from_disk(
+        self, valid_acc_source, tmp_path
+    ):
+        """A cache loaded from disk holds executions and judgments but no
+        compiles (that namespace is memory-only).  Over it, a pooled
+        service answers and counts as the in-process one does, and its
+        own cache keeps the compiles its workers made."""
+        from repro.cache.bundle import PipelineCache
+
+        sources = {
+            "good.c": valid_acc_source,
+            "bad.c": valid_acc_source.replace("{", "{ int x = ;", 1),
+        }
+        filled = PipelineCache(cache_dir=tmp_path)
+        TestsuiteValidator(flavor="acc", cache=filled).validate_sources(sources)
+        filled.save()
+
+        def serve(workers: int) -> tuple:
+            cache = PipelineCache(cache_dir=tmp_path)
+            assert cache.load() > 0 and len(cache.compile) == 0
+            service = ValidationService(cache=cache, workers=workers)
+            try:
+                response = _service_validate(service, sources)
+                snap = service.stats_snapshot()
+            finally:
+                service.drain(timeout=30.0)
+            return response["verdicts"], _counts(snap)
+
+        in_process = serve(0)
+        assert in_process[1][1]["compile"] == (0, 2, 2)
+        assert in_process[1][1]["judge"][:2] == (1, 0)
+        assert serve(2) == in_process
 
     def test_workers_zero_snapshot_shape(self):
         service = ValidationService(workers=0)
