@@ -3,8 +3,8 @@
 :class:`PipelineCache` groups one :class:`ResultCache` per cacheable
 stage kind:
 
-* ``compile`` — memory-only, entries without their AST (see
-  :func:`repro.pipeline.engine.compile_file`);
+* ``compile`` — persistent, entries without their AST (``unit`` and
+  ``info`` are None, see :func:`repro.pipeline.engine.compile_file`);
 * ``execute`` — persistent (plain :class:`ExecutionResult` data);
 * ``judge``  — persistent (:class:`JudgeResult` round-trips via JSON);
 * ``fuzz``   — persistent (differential walk+closure outcomes, stored
@@ -18,13 +18,25 @@ across :class:`Experiments` instances when callers share the bundle.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro.cache.store import Codec, ResultCache
+from repro.compiler.driver import CompileResult
 from repro.judge.llmj import JudgeResult
 from repro.obs.metrics import series
 from repro.runtime.executor import ExecutionResult
+
+# the cache holds compile results without their AST, so the codec
+# stores every other field and decodes to the same unit-less result
+_COMPILE_FIELDS = tuple(
+    f.name for f in fields(CompileResult) if f.name not in ("unit", "info")
+)
+
+_COMPILE_CODEC = Codec(
+    encode=lambda result: {name: getattr(result, name) for name in _COMPILE_FIELDS},
+    decode=lambda data: CompileResult(**data),
+)
 
 _EXECUTION_CODEC = Codec(
     encode=lambda result: asdict(result),
@@ -46,7 +58,7 @@ class PipelineCache:
 
     def __init__(self, max_entries: int = 65536, cache_dir: str | Path | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.compile = ResultCache("compile", max_entries)
+        self.compile = ResultCache("compile", max_entries, codec=_COMPILE_CODEC)
         self.execute = ResultCache("execute", max_entries, codec=_EXECUTION_CODEC)
         self.judge = ResultCache("judge", max_entries, codec=_JUDGE_CODEC)
         self.fuzz = ResultCache("fuzz", max_entries, codec=_FUZZ_CODEC)
@@ -103,8 +115,8 @@ def disk_summary(directory: str | Path) -> dict[str, dict[str, object] | None]:
     """Per-namespace on-disk counters for a ``--cache-dir`` directory.
 
     Entries/bytes/corruption per namespace *without* decoding values
-    into memory (``None`` marks a namespace with no persisted file —
-    the memory-only compile cache always reads as ``None``).
+    into memory (``None`` marks a namespace with no persisted file, as
+    in a directory written before a run first saved that namespace).
     """
     return {
         name: ResultCache.disk_snapshot(directory, name)

@@ -14,7 +14,11 @@ import hashlib
 import json
 from typing import Any
 
-_SEPARATOR = "\x1f"  # unit separator: cannot appear in JSON text
+_SEPARATOR = b"\x1f"  # unit separator: cannot appear in JSON text
+
+# one canonical encoder for every part: json.dumps with non-default
+# arguments would build a new JSONEncoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def content_key(*parts: Any) -> str:
@@ -29,9 +33,8 @@ def content_key(*parts: Any) -> str:
     """
     hasher = hashlib.sha256()
     for part in parts:
-        encoded = json.dumps(part, sort_keys=True, separators=(",", ":"))
-        hasher.update(encoded.encode("utf-8"))
-        hasher.update(_SEPARATOR.encode("utf-8"))
+        hasher.update(_ENCODER.encode(part).encode("utf-8"))
+        hasher.update(_SEPARATOR)
     return hasher.hexdigest()
 
 

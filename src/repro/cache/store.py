@@ -4,8 +4,9 @@
 content-addressed keys (see :mod:`repro.cache.keys`).  Namespaces whose
 values round-trip through JSON can attach a :class:`Codec`, which
 enables :meth:`save_to` / :meth:`load_from` — the on-disk warm-start
-path used by the CLI's ``--cache-dir``.  Namespaces without a codec
-(the compile cache) stay memory-only.
+path used by the CLI's ``--cache-dir``.  A namespace without a codec
+stays memory-only (every :class:`~repro.cache.bundle.PipelineCache`
+namespace has one).
 """
 
 from __future__ import annotations

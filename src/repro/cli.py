@@ -81,7 +81,7 @@ def _main(argv: list[str] | None = None) -> int:
     def add_cache_flags(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--cache-dir", default=None, metavar="DIR",
-            help="persist execute/judge results as JSON under DIR "
+            help="persist compile/execute/judge results as JSON under DIR "
                  "(warm-starts later runs)",
         )
         sub_parser.add_argument(
@@ -117,7 +117,7 @@ def _main(argv: list[str] | None = None) -> int:
             "--jobs", type=positive_int, default=1, metavar="N",
             help="worker processes for the experiment matrix: fan "
                  "independent (part x flavor) cells over N processes "
-                 "sharing execute/judge results via the on-disk cache "
+                 "sharing compile/execute/judge results via the on-disk cache "
                  "(1 = sequential)",
         )
 

@@ -47,7 +47,7 @@ class ExperimentConfig:
     #: content-addressed result caching (see repro.cache): reuses
     #: compile/execute/judge artifacts within and across runs
     cache_enabled: bool = True
-    #: directory for JSON persistence of the execute/judge namespaces
+    #: directory for JSON persistence of the compile/execute/judge namespaces
     #: (None = in-memory only)
     cache_dir: str | None = None
     #: LRU bound per cache namespace
@@ -55,7 +55,7 @@ class ExperimentConfig:
     #: worker processes for the experiment matrix (see
     #: repro.experiments.sharding): 1 = sequential in-process, N > 1
     #: fans independent (part × flavor) cells over N processes that
-    #: share execute/judge results through an on-disk cache
+    #: share compile/execute/judge results through an on-disk cache
     jobs: int = 1
 
     def __post_init__(self) -> None:

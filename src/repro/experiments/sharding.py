@@ -27,7 +27,7 @@ Protocol:
    ``ExperimentConfig`` (with ``jobs=1`` — workers never recurse) and a
    per-task ``PipelineCache`` pointed at a *shared* on-disk cache
    directory, so shards warm-start from and publish to the same
-   execute/judge store (merge-on-save with per-namespace file locking,
+   compile/execute/judge store (merge-on-save with per-namespace file locking,
    see :mod:`repro.cache.store`).  A worker killed mid-cell raises
    :class:`~repro.pipeline.pool.ComputeWorkerCrash` naming the cell.
 3. :func:`prefill` installs the returned reports into an
@@ -179,7 +179,7 @@ def run_cell(
     Rebuilds the experiment harness from the picklable ``config``:
     ``jobs`` is forced to 1 (workers never shard recursively) and the
     cache is repointed at ``cache_dir``, the run's shared on-disk
-    store, so sibling shards exchange execute/judge hits through the
+    store, so sibling shards exchange compile/execute/judge hits through the
     lock-protected merge-on-save path instead of clobbering each
     other.
     """

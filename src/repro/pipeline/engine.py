@@ -331,11 +331,11 @@ class ValidationPipeline:
 
         1. Find the entries the cache holds for each file's chain
            (:meth:`held_entries`).  A file runs here when they are the
-           whole chain, or hold its execution without its compile (the
-           compile cache is memory-only, so a cache loaded from disk
-           does that; the file compiles here, ~2 ms, and its later
-           lookups likely hit), or when its twin (same compile key)
-           went to the pool first.
+           whole chain, or hold its execution without its compile (a
+           cache dir saved before compiles persisted, or one whose
+           compile file was purged, does that; the file compiles here,
+           ~2 ms, and its later lookups likely hit), or when its twin
+           (same compile key) went to the pool first.
         2. Send every other file's chain to the pool as one task, its
            entries in front, longest source first.  The worker rebuilds
            the judge from the model's seed and context size, so only a

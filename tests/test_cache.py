@@ -44,6 +44,29 @@ class TestKeys:
             "f8e0e5e2245d89d2f43dae922948ee25696b4f000edb168cf3eea4bd11d6f782"
         )
 
+    def test_stage_keys_are_pinned(self):
+        """Pinned digests of every stage key: a cache dir saved before a
+        change to the key functions must still hit after it."""
+        source = "#include <openacc.h>\nint main() { /* caf\u00e9 */ return 0; }\n"
+        compiled = compile_key("compiler:acc:4.5", "test_a.c", source)
+        report = [0, "", "", 0, "", "PASSED\n", ["W001", "W002"]]
+        assert compiled == (
+            "c44be886d281abed542b1635f20c9581b681be5a5613464c535f9f569f2b0241"
+        )
+        assert execute_key(compiled, 3_000_000) == (
+            "5f4c147419fd08d43f0cd24e7b77cf05fcc46e7f6976a9bc681ea50821d8438a"
+        )
+        assert judge_key("agent:indirect:20240822", "test_a.c", source, report) == (
+            "fa6bdb0de9e688217e7a16eb683cf0838da9b36b3fa1cf0211a5dc5c8d64b5d8"
+        )
+        assert judge_key("direct:acc:20240822", "test_a.c", source, None) == (
+            "1f3095ec895dd3076fc2ed7586c4c3bc569c1ca8c3a4764c38b8090c9ae39184"
+        )
+
+    def test_unsupported_part_types_raise(self):
+        with pytest.raises(TypeError):
+            content_key(object())
+
     def test_execute_and_judge_keys_namespaced(self):
         assert execute_key("deadbeef", 100) != content_key("deadbeef", 100)
         assert judge_key("f", "t.c", "src", None) != content_key("f", "t.c", "src", None)
@@ -208,12 +231,39 @@ class TestPersistence:
         assert rejudge.judge(test) == verdict
         assert second.judge.hits == 1
 
-    def test_compile_namespace_is_memory_only(self, tmp_path, valid_acc_source):
+    def test_compile_namespace_round_trips_without_units(
+        self, tmp_path, valid_acc_source
+    ):
         cache = PipelineCache(cache_dir=tmp_path)
-        test = TestFile("t.c", "c", "acc", valid_acc_source, "x")
-        compile_file(Compiler("acc"), test, cached(cache))
+        sources = {
+            "good.c": valid_acc_source,
+            "bad.c": valid_acc_source.replace("{", "{ int x = ;", 1),
+        }
+        for name, source in sources.items():
+            compile_file(Compiler("acc"), TestFile(name, "c", "acc", source, "x"),
+                         cached(cache))
         cache.save()
-        assert not (tmp_path / "compile.json").exists()
+        assert len(json.loads((tmp_path / "compile.json").read_text())) == 2
+
+        warm = PipelineCache(cache_dir=tmp_path)
+        assert warm.load() == 2
+        fingerprint = Compiler("acc").fingerprint()
+        keys = [compile_key(fingerprint, name, source) for name, source in sources.items()]
+        held = [warm.compile.peek(key) for key in keys]
+        assert held == [cache.compile.peek(key) for key in keys]
+        assert all(c.unit is None and c.info is None for c in held)
+        good, bad = held
+        assert good.ok and not bad.ok and bad.diagnostic_codes and bad.stderr
+
+        # a hit from the loaded cache is the unit-less result a fresh
+        # compile stores
+        for name, source in sources.items():
+            test = TestFile(name, "c", "acc", source, "x")
+            fresh = Compiler("acc").compile(source, name)
+            assert compile_file(Compiler("acc"), test, cached(warm)) == replace(
+                fresh, unit=None, info=None
+            )
+        assert warm.compile.hits == 2 and warm.compile.misses == 0
 
 
 _PLAIN_CODEC = Codec(encode=lambda value: value, decode=lambda value: value)

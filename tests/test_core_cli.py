@@ -116,10 +116,29 @@ class TestCacheCLI:
         rc = cli_main(["cache", "stats", "--cache-dir", cache_dir])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "compile: 1 entries" in out
         assert "execute: 1 entries" in out
         assert "judge: 1 entries" in out
-        assert "compile: no persisted file" in out  # memory-only namespace
-        assert "total: 2 persisted entries" in out
+        assert "fuzz: 0 entries" in out
+        assert "no persisted file" not in out
+        assert "total: 3 persisted entries" in out
+
+    def test_a_repeated_validate_computes_nothing(self, tmp_path, valid_acc_source, capsys):
+        good, bad = tmp_path / "good.c", tmp_path / "bad.c"
+        good.write_text(valid_acc_source)
+        bad.write_text(valid_acc_source.replace("{", "{ int x = ;", 1))
+        args = ["validate", str(good), str(bad), "--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(args) == 1
+        cold = capsys.readouterr().out
+        assert cli_main(args) == 1
+        warm = capsys.readouterr().out
+        assert "cache: warm-started 4 entries" in warm
+        assert "cache: 4 hits, 0 misses (compile 2/2, execute 1/1, judge 1/1," in warm
+
+        def verdicts(out: str) -> list[str]:
+            return [line for line in out.splitlines() if line.startswith("[")]
+
+        assert verdicts(warm) == verdicts(cold) and len(verdicts(cold)) == 2
 
     def test_stats_flags_corruption(self, tmp_path, valid_acc_source, capsys):
         cache_dir = self._warm(tmp_path, valid_acc_source)

@@ -23,11 +23,12 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.cache.bundle import PipelineCache
+from repro.cache.bundle import PipelineCache, purge_dir
 from repro.cache.keys import compile_key
 from repro.compiler.driver import Compiler
 from repro.core.validator import TestsuiteValidator
@@ -218,10 +219,11 @@ class TestPooledCache:
     def test_a_cache_loaded_from_disk_computes_no_judgment(
         self, corpus, tmp_path, monkeypatch
     ):
-        """The compile cache is memory-only, so a cache loaded from disk
-        holds execute and judge entries without the compiles they came
-        from.  A pooled run over it judges nothing again: the cached
-        judgments are served here, not recomputed in a worker."""
+        """A cache dir written before the compile namespace persisted
+        (or whose ``compile.json`` was purged) holds execute and judge
+        entries without the compiles they came from.  A pooled run over
+        it judges nothing again: the cached judgments are served here,
+        not recomputed in a worker."""
         from repro.judge.llmj import AgentLLMJ
 
         files = corpus["acc"]
@@ -230,6 +232,7 @@ class TestPooledCache:
         first = PipelineCache(cache_dir=tmp_path)
         expected = ValidationPipeline(config, cache=first).run(files)
         first.save()
+        assert purge_dir(tmp_path, "compile") == ["compile"]
         warm = PipelineCache(cache_dir=tmp_path)
         assert warm.load() > 0 and len(warm.compile) == 0
 
@@ -250,6 +253,49 @@ class TestPooledCache:
         assert lookups[("judge", "hit")] == judged > 0
         assert ("judge", "miss") not in lookups
         assert model.stats.calls == 0
+
+    def test_a_record_all_run_over_a_disk_cache_judges_no_failed_compile_again(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """Record-all judges every file, compile failures too.  Over a
+        cache loaded from disk, a pooled run serves each judgment it
+        holds here, compile failures included; only files the cache
+        has never seen go to the workers."""
+        from repro.judge.llmj import AgentLLMJ
+
+        files = corpus["acc"]
+        config = PipelineConfig(flavor="acc", early_exit=False)
+        first = PipelineCache(cache_dir=tmp_path)
+        expected = ValidationPipeline(config, cache=first).run(files)
+        first.save()
+        failed = {r.test.name for r in expected.records if not r.compiled}
+        assert failed and all(
+            r.judge_result is not None for r in expected.records
+        )
+        # renamed twins are new to the cache, so the run pools
+        unseen = [replace(t, name=f"unseen_{t.name}") for t in files]
+        assert len(failed) + len(unseen) >= engine.MIN_POOLED_FILES
+        warm = PipelineCache(cache_dir=tmp_path)
+        assert warm.load() > 0
+
+        judge = AgentLLMJ.judge
+
+        def judge_unseen_only(self, test, report=None):
+            assert test.name not in failed, f"{test.name} was judged again"
+            return judge(self, test, report)
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(pool, "default_start_method", lambda: "fork")
+        monkeypatch.setattr(AgentLLMJ, "judge", judge_unseen_only)
+        baseline = get_metrics().export_state()
+        served = ValidationPipeline(config, cache=warm).run(files + unseen, processes=2)
+        lookups = _lookups(get_metrics().diff(baseline)[0])
+        assert [_record_facts(r) for r in served.records[: len(files)]] == [
+            _record_facts(r) for r in expected.records
+        ]
+        for namespace in ("compile", "judge"):
+            assert lookups[(namespace, "hit")] == len(files)
+            assert lookups[(namespace, "miss")] == len(unseen)
 
     def test_a_unitless_compile_entry_is_compiled_again_before_it_runs(self, corpus):
         """Compile-cache entries carry no unit.  A run under another step

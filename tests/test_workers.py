@@ -417,11 +417,12 @@ class TestServiceOverPool:
     def test_pooled_counts_over_a_cache_loaded_from_disk(
         self, valid_acc_source, tmp_path
     ):
-        """A cache loaded from disk holds executions and judgments but no
-        compiles (that namespace is memory-only).  Over it, a pooled
-        service answers and counts as the in-process one does, and its
-        own cache keeps the compiles its workers made."""
-        from repro.cache.bundle import PipelineCache
+        """A cache dir written before the compile namespace persisted
+        (or whose ``compile.json`` was purged) holds executions and
+        judgments but no compiles.  Over it, a pooled service answers
+        and counts as the in-process one does, and its own cache keeps
+        the compiles its workers made."""
+        from repro.cache.bundle import PipelineCache, purge_dir
 
         sources = {
             "good.c": valid_acc_source,
@@ -432,6 +433,8 @@ class TestServiceOverPool:
         filled.save()
 
         def serve(workers: int) -> tuple:
+            # the drain saves compiles too: purge them before each load
+            assert purge_dir(tmp_path, "compile") == ["compile"]
             cache = PipelineCache(cache_dir=tmp_path)
             assert cache.load() > 0 and len(cache.compile) == 0
             service = ValidationService(cache=cache, workers=workers)
@@ -446,6 +449,51 @@ class TestServiceOverPool:
         assert in_process[1][1]["compile"] == (0, 2, 2)
         assert in_process[1][1]["judge"][:2] == (1, 0)
         assert serve(2) == in_process
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_restarted_service_computes_nothing_it_served_before(
+        self, workers, acc_probed, tmp_path, monkeypatch
+    ):
+        """A service restarted on the cache dir its predecessor's drain
+        saved serves the same corpus again from that cache alone: no
+        compile, no run, no judgment, no cache miss."""
+        from repro.cache.bundle import PipelineCache
+        from repro.compiler.driver import Compiler
+        from repro.judge.llmj import AgentLLMJ
+        from repro.runtime.executor import Executor
+
+        files = list(acc_probed)[:12]
+        groups = [files[i : i + 3] for i in range(0, len(files), 3)]
+        # forked workers inherit the patches below
+        monkeypatch.setattr(pool, "default_start_method", lambda: "fork")
+
+        def serve() -> tuple[str, tuple[int, int]]:
+            cache = PipelineCache(cache_dir=tmp_path)
+            cache.load()
+            service = ValidationService(cache=cache, workers=workers, max_latency=0.005)
+            try:
+                verdicts = [
+                    _service_validate(service, {t.name: t.source for t in group})["verdicts"]
+                    for group in groups
+                ]
+                snap = service.stats_snapshot()
+            finally:
+                assert service.drain(timeout=60.0)
+            return json.dumps(verdicts, sort_keys=True), _counts(snap)[1]["total"]
+
+        served, (hits, misses) = serve()
+        assert misses > 0
+        verdicts = {v["verdict"] for group in json.loads(served) for v in group}
+        stages = {v["stage"] for group in json.loads(served) for v in group}
+        assert verdicts == {"valid", "invalid"} and "compile" in stages
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a restarted service computed a stage again")
+
+        monkeypatch.setattr(Compiler, "compile", refuse)
+        monkeypatch.setattr(Executor, "run", refuse)
+        monkeypatch.setattr(AgentLLMJ, "judge", refuse)
+        assert serve() == (served, (hits + misses, 0))
 
     def test_workers_zero_snapshot_shape(self):
         service = ValidationService(workers=0)
