@@ -18,9 +18,18 @@ import pytest
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.suite import TestSuite
 from repro.experiments import ExperimentConfig, Experiments
+from repro.pipeline import pool
 from repro.probing.prober import NegativeProber
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+
+
+@pytest.fixture(autouse=True)
+def _close_shared_pool():
+    """Close the process's shared compute pool after each bench: workers
+    forked for one bench would not see the next bench's monkeypatches."""
+    yield
+    pool.close_shared()
 
 
 @pytest.fixture(scope="session")

@@ -92,8 +92,9 @@ class TestsuiteValidator:
         compile or execute.  On by default, as in §III-C.
     workers:
         With 2 or more, each :meth:`validate` call runs its files'
-        chains in a process pool of up to that many workers, open for
-        the call (see :meth:`ValidationPipeline.run
+        chains in the process's shared pool of up to that many workers,
+        forked by the first pooled call and reused by later ones (see
+        :meth:`ValidationPipeline.run
         <repro.pipeline.engine.ValidationPipeline.run>`); ``1`` runs
         everything in-process, the spec pooled verdicts match.  Callers
         that already parallelise across processes, such as the daemon,

@@ -7,7 +7,7 @@ compile clean and exit 0 would poison the negative-probing ground
 truth.  A file that fails its check is skipped and its failure recorded
 (:attr:`CorpusGenerator.validation_failures`); generation raises
 :class:`CorpusValidationError` only once too many candidates fail.
-With ``workers >= 2`` the checks run in a
+With ``workers >= 2`` the checks run in the process's shared
 :class:`~repro.pipeline.pool.ComputePool`; the corpus is the same.
 """
 
@@ -75,8 +75,8 @@ class CorpusGenerator:
     same corpus — the common case across experiment instances — reuses
     every check result instead of re-interpreting each program.
 
-    ``workers >= 2`` checks the files in a run-scoped compute pool of up
-    to that many processes when there is no cache and at least
+    ``workers >= 2`` checks the files in the process's shared compute
+    pool of up to that many processes when there is no cache and at least
     :data:`~repro.pipeline.engine.MIN_POOLED_FILES` files to check;
     ``workers=1`` checks them one by one in this process, the spec the
     pooled corpus matches.  A generator running inside a daemonic pool
@@ -177,9 +177,10 @@ class CorpusGenerator:
         """How many ``candidates`` pass their checks before the first
         failure, and that failure (None when all pass).
 
-        Each check is one ``pool.compute`` task in a
-        :class:`~repro.pipeline.pool.ComputePool`, submitted longest
-        source first and read in order; a dead worker raises
+        Each check is one ``pool.compute`` task in the shared pool
+        (:func:`~repro.pipeline.pool.shared`), submitted longest source
+        first and read in order; the checks still queued after the first
+        failure are cancelled.  A dead worker raises
         :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
         """
         from repro.obs import trace
@@ -188,7 +189,7 @@ class CorpusGenerator:
         spec = pool.ComputeSpec("corpus", "file", "corpus:worker-compute")
         toolchain = (model, self.openmp_max_version, self.step_limit)
         arms = (self.execution_backend,)
-        with pool.ComputePool(min(self.workers, len(candidates))) as workers:
+        with pool.shared(min(self.workers, len(candidates))) as workers:
             ctx = trace.current()
             futures = {
                 test.name: workers.submit(

@@ -21,8 +21,8 @@ Protocol:
 1. :func:`plan` maps requested artifact names to the deduplicated cell
    set, ordered costliest-first (longest-processing-time scheduling,
    so the big Part-Two cells start before the small Part-One ones).
-2. :func:`run_cells` submits each cell as one task to a
-   :class:`~repro.pipeline.pool.ComputePool`, costliest first.  The
+2. :func:`run_cells` submits each cell as one task to the process's
+   shared :class:`~repro.pipeline.pool.ComputePool`, costliest first.  The
    task (:func:`cell_task`, around :func:`run_cell`) rebuilds
    ``ExperimentConfig`` (with ``jobs=1`` — workers never recurse) and a
    per-task ``PipelineCache`` pointed at a *shared* on-disk cache
@@ -278,7 +278,7 @@ def run_cells(
 
     ``jobs`` defaults to ``config.jobs``.  With one job (or one cell)
     everything runs in-process — no pool, no pickling, identical
-    semantics.  Otherwise each cell is one task of a
+    semantics.  Otherwise each cell is one task of the process's shared
     :class:`~repro.pipeline.pool.ComputePool`, submitted costliest
     first; its spans and metrics delta are absorbed on arrival, and a
     worker's death raises
@@ -312,7 +312,7 @@ def run_cells(
         range(len(cells)), key=lambda i: estimated_cost(config, cells[i]), reverse=True
     )
     collected: dict[int, CellResult] = {}
-    with pool.ComputePool(min(jobs, len(cells))) as workers:
+    with pool.shared(min(jobs, len(cells))) as workers:
         ctx = trace.current()
         futures = {
             i: workers.submit(cell_task, config, cells[i], cache_dir, ctx)

@@ -37,7 +37,7 @@ from repro.cache.wrappers import agent_judge_key
 from repro.obs import trace
 from repro.obs.metrics import get_metrics
 from repro.pipeline.engine import count_stage, replay, stage_counters
-from repro.pipeline.pool import ComputePool
+from repro.pipeline import pool as compute
 from repro.pipeline.stats import counted_run
 from repro.fuzz.differential import DifferentialOutcome, Discrepancy, discrepancy_from
 from repro.fuzz.operators import FuzzOperator, operators_by_name
@@ -396,15 +396,14 @@ class Campaign:
           "checkpoint then drain" path).
 
         With ``config.workers >= 2`` each candidate's differential →
-        triage chain runs in a
-        :class:`~repro.pipeline.pool.ComputePool` of that many
-        processes, open for this call and closed when it ends (also
-        when an error or Ctrl-C ends it).  A worker's death raises
-        :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
+        triage chain runs in the process's shared compute pool of that
+        many processes (:func:`~repro.pipeline.pool.shared`; an error
+        or Ctrl-C that ends the call closes it).  A worker's death
+        raises :class:`~repro.pipeline.pool.ComputeWorkerCrash`.
         ``workers=1`` runs everything in-process, on this thread: the
         spec the pooled digest matches.
         """
-        with (ComputePool(self.config.workers) if self.config.workers > 1
+        with (compute.shared(self.config.workers) if self.config.workers > 1
               else contextlib.nullcontext()) as pool:
             return self._run(pool, schedule_override, progress, checkpoint_dir,
                              checkpoint_every, resume, stop)
@@ -611,7 +610,7 @@ class Campaign:
 
     def _run_batch(self, batch: list[Candidate], round_no: int,
                    stats: CampaignStats,
-                   pool: ComputePool | None) -> list[Candidate]:
+                   pool: compute.ComputePool | None) -> list[Candidate]:
         """Run one round's batch; the candidates come back in slot order.
 
         Inside the round's ``scheduler.run`` span and registry:

@@ -35,10 +35,19 @@ class SimTokenizer:
         return pieces
 
     def count(self, text: str) -> int:
-        return len(self.tokenize(text))
+        """``len(self.tokenize(text))``, without building the pieces."""
+        piece = self.max_piece
+        return sum(
+            1 if chunk.isspace() else (len(chunk) + piece - 1) // piece
+            for chunk in _TOKEN_RE.findall(text)
+        )
 
     def truncate(self, text: str, max_tokens: int) -> str:
         """Keep at most ``max_tokens`` tokens (context-window model)."""
+        if len(text) <= max_tokens and text.isascii():
+            # every token spans at least one character, and the pattern
+            # matches every ASCII character: the whole text fits as is
+            return text
         pieces = []
         total = 0
         for match in _TOKEN_RE.finditer(text):

@@ -17,8 +17,8 @@ chain runs against a :class:`~repro.cache.bundle.PipelineCache`,
 against no cache, and inside a pool worker.
 
 :meth:`ValidationPipeline.run` calls the chain in a loop on the calling
-thread, or, with ``processes >= 2``, sends each file's chain to a
-:class:`~repro.pipeline.pool.ComputePool` as one task.
+thread, or, with ``processes >= 2``, sends each file's chain to the
+process's shared :class:`~repro.pipeline.pool.ComputePool` as one task.
 """
 
 from __future__ import annotations
@@ -36,15 +36,18 @@ from repro.judge.llmj import AgentLLMJ, JudgeResult
 from repro.llm.model import DeepSeekCoderSim
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.pipeline.pool import ComputePool, ComputeSpec, run_task
+from repro.pipeline import pool as compute
+from repro.pipeline.pool import ComputeSpec, run_task
 from repro.pipeline.stats import PipelineStats, StageCounters, counted_run
 from repro.runtime.executor import ExecutionResult, Executor
 
-#: the fewest files to compute that open a pool (``ValidationPipeline.run``):
+#: the fewest files to compute for a pooled run (``ValidationPipeline.run``):
 #: below it, starting the workers costs more than they win.  On 2 cores
 #: a ``validate`` CLI process breaks even at 20-24 files (its pool also
-#: pays the imports and first-use costs a warm process has behind it)
-#: and a warm library process at 8.
+#: pays the imports and first-use costs a warm process has behind it).
+#: A warm library process breaks even at 4 files once its shared pool
+#: is open, and at 6 when the run opens it (median of 9 runs per size
+#: over perfbench's acc corpus, fresh cache each).
 MIN_POOLED_FILES = 24
 
 #: the chain's stages, in order
@@ -249,10 +252,10 @@ class ValidationPipeline:
         ``processes=1`` calls :meth:`validate_file` in a loop on this
         thread: the spec a pooled run's verdicts and counts match.
         With ``processes >= 2`` and at least :data:`MIN_POOLED_FILES`
-        files to compute, each such file's chain runs as one task in a
-        :class:`~repro.pipeline.pool.ComputePool` of up to that many
-        processes, opened and closed on this thread (see
-        :meth:`_run_pooled`).  A dead worker raises
+        files to compute, each such file's chain runs as one task in
+        the process's shared compute pool
+        (:func:`~repro.pipeline.pool.shared`) of up to that many
+        processes (see :meth:`_run_pooled`).  A dead worker raises
         :class:`~repro.pipeline.pool.ComputeWorkerCrash`.  Either way,
         every judgment the run computes counts into ``model.stats``.
         ``lookup`` replaces the lookup in :attr:`cache` (a pool task
@@ -358,7 +361,7 @@ class ValidationPipeline:
         spec = ComputeSpec("pipeline", "file", "pipeline:worker-compute")
         model = (self.model.seed, self.model.max_context_tokens)
         records = []
-        with ComputePool(min(processes, len(seeds))) as pool:
+        with compute.shared(min(processes, len(seeds))) as pool:
             ctx = trace.current()
             futures = {
                 i: pool.submit(_validate_task, spec, self.config, model, files[i], seeds[i], ctx)

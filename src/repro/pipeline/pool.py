@@ -2,8 +2,10 @@
 
 Compile, execute and the judge are pure CPU work under the GIL, so
 threads keep about one core busy.  :class:`ComputePool` runs tasks in
-processes, and every process the program starts comes from it.  Its
-users:
+processes, and every process the program starts comes from it.  The
+runs below borrow one long-lived pool per process (:func:`shared`):
+the first pooled run forks its workers, and later runs reuse them.
+Its users:
 
 * the validation pipeline (:meth:`ValidationPipeline.run
   <repro.pipeline.engine.ValidationPipeline.run>` with ``processes >=
@@ -17,12 +19,13 @@ users:
   <repro.corpus.generator.CorpusGenerator.generate>` with ``workers >=
   2``): one :func:`compute` task per rendered file, run under the
   generator's backend alone;
-* the daemon (:class:`~repro.service.server.ValidationService` with
-  ``workers >= 1``): one pool for the service's life, one
-  :func:`~repro.service.workers.batch_task` per micro-batch, its
-  chains past the cache entries the parent already holds;
 * experiment sharding (:func:`~repro.experiments.sharding.run_cells`
-  with ``jobs >= 2``): one task per cell, costliest first.
+  with ``jobs >= 2``): one task per cell, costliest first;
+* the daemon (:class:`~repro.service.server.ValidationService` with
+  ``workers >= 1``), which opens a pool of its own instead, without
+  the preloaded backends, for the service's life: one
+  :func:`~repro.service.workers.batch_task` per micro-batch, its
+  chains past the cache entries the parent already holds.
 
 A task is a module-level function taking only picklable arguments, so
 it works under fork and spawn alike.  It runs through :func:`run_task`,
@@ -37,16 +40,18 @@ spec a pooled run must match byte for byte.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import os
 import signal
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.compiler.driver import Compiler, CompileResult
+from repro.obs import trace
 from repro.obs.remote import WorkerTelemetry, absorb
 from repro.runtime.executor import Executor
 from repro.testing import faultinject
@@ -87,8 +92,8 @@ class ComputeWorkerCrash(RuntimeError):
 
     Names the file, candidate, batch or cell whose outcome was lost.
     The pool is broken from then on.  A run (validate, fuzz, generate,
-    experiment) stops with it; the daemon reopens the pool and
-    resubmits the lost batch once.
+    experiment) stops with it and closes the shared pool; the daemon
+    reopens its pool and resubmits the lost batch once.
     """
 
 
@@ -120,6 +125,8 @@ class ComputePool:
         if preload:
             _warm_imports()
         self.workers = workers
+        #: the futures :meth:`submit` returned that are not done yet
+        self._pending: set[Future] = set()
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(default_start_method()),
@@ -144,11 +151,14 @@ class ComputePool:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            return self._executor.submit(task, *args)
+            future = self._executor.submit(task, *args)
         except BrokenProcessPool as exc:
             future = Future()
             future.set_exception(exc)
             return future
+        self._pending.add(future)
+        future.add_done_callback(self._pending.discard)
+        return future
 
     def result(self, future: Future, spec: ComputeSpec, name: str, registry=None):
         """A submitted task's value, once its spans and metrics delta
@@ -171,6 +181,15 @@ class ComputePool:
         """How many workers are alive; fewer than :attr:`workers` means
         one died and the pool is broken (or closed)."""
         return sum(process.is_alive() for process in self._processes)
+
+    def settle(self, timeout: float = CLOSE_TIMEOUT_S) -> bool:
+        """Cancel every task still queued and wait for those already
+        running; whether all are done within ``timeout`` seconds.  A
+        settled pool holds no task of a run that ended early."""
+        pending = list(self._pending)
+        for future in pending:
+            future.cancel()
+        return not wait(pending, timeout).not_done
 
     def close(self, timeout: float = CLOSE_TIMEOUT_S) -> None:
         """Stop every worker: each exits once its running task is done
@@ -196,6 +215,85 @@ class ComputePool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+#: the process's shared pool (:func:`shared`), the key it was opened
+#: under, and whether a run has borrowed it
+_shared: ComputePool | None = None
+_shared_key: tuple | None = None
+_shared_busy = False
+_shared_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def shared(workers: int):
+    """Borrow the process's compute pool of ``workers`` workers for one run.
+
+    The first run opens the pool and later runs borrow it, so a process
+    forks its workers once, not once per run.  The pool is keyed on
+    what a worker fixes when it starts: its size,
+    :func:`default_start_method`, ``REPRO_FAULT_POINTS`` (a fault point
+    counts its hits from the worker's start), and whether a tracer is
+    installed (instrumentation installed with a tracer, such as
+    perfbench's layer wrappers, reaches only workers forked after it).
+    A borrow under another key, or one that finds a worker dead, closes
+    the pool and opens a new one.
+
+    When the run ends, its tasks still queued are cancelled and those
+    running are waited for (:meth:`ComputePool.settle`), so no stale
+    task sits ahead of the next run.  A run that ends by an exception
+    (:class:`ComputeWorkerCrash`, Ctrl-C, the CLI's SIGTERM) closes the
+    pool.  A borrow made while another run holds the pool (a library
+    caller's second thread) gets a pool of its own, closed when its run
+    ends: settling or closing the shared pool would fail the other
+    run's tasks.  The shared pool is closed at interpreter exit, by
+    :func:`close_shared`, and by a daemon's drain.
+    """
+    global _shared, _shared_key, _shared_busy
+    key = (
+        workers, default_start_method(), os.environ.get(faultinject.ENV_VAR),
+        trace.active() is not None,
+    )
+    with _shared_lock:
+        borrowed = not _shared_busy
+        if borrowed:
+            if _shared is not None and (
+                _shared_key != key or _shared.alive < _shared.workers
+            ):
+                _shared.close()
+                _shared = _shared_key = None
+            if _shared is None:
+                _shared, _shared_key = ComputePool(workers), key
+            _shared_busy = True
+            lent = _shared
+    if not borrowed:
+        with ComputePool(workers) as own:
+            yield own
+        return
+    try:
+        yield lent
+        if not lent.settle():
+            close_shared()
+    except BaseException:
+        close_shared()
+        raise
+    finally:
+        with _shared_lock:
+            _shared_busy = False
+
+
+def close_shared(timeout: float = CLOSE_TIMEOUT_S) -> None:
+    """Close the shared pool, if one is open, within ``timeout``
+    seconds (see :meth:`ComputePool.close`); the next borrow opens a
+    new one."""
+    global _shared, _shared_key
+    with _shared_lock:
+        closing, _shared, _shared_key = _shared, None, None
+    if closing is not None:
+        closing.close(timeout)
+
+
+atexit.register(close_shared)
 
 
 def default_start_method() -> str:
@@ -268,7 +366,7 @@ def _init_worker(parent_pid: int) -> None:
 
 
 def _exit_with_parent(parent_pid: int) -> None:
-    """A worker outlives no run: a SIGKILLed parent never closes the
+    """A worker outlives no parent: a SIGKILLed parent never closes the
     pool, so each worker watches for being re-parented."""
     while os.getppid() == parent_pid:
         time.sleep(0.5)

@@ -345,8 +345,9 @@ class ValidationService:
 
         Order matters: the active job checkpoints and journals first
         (its state must survive even if the process dies later in the
-        drain), then queued HTTP requests finish, then the cache
-        flushes.  The ``drain:mid`` fault point sits between the two
+        drain), then queued HTTP requests finish, then the compute
+        pools close (the daemon's and the process's shared one), then
+        the cache flushes.  The ``drain:mid`` fault point sits between the two
         halves — a SIGKILL there must still leave a resumable journal,
         which is exactly what the crash-recovery tests inject.
         ``timeout`` bounds the whole drain: each step gets what the
@@ -370,6 +371,9 @@ class ValidationService:
             with self._pool_lock:
                 self._pool_closed = True
                 self.pool.close(left(unbounded=30.0))
+        # the jobs have stopped: close the pool their campaigns and
+        # experiments borrowed
+        compute.close_shared(left(unbounded=30.0))
         if self.cache is not None:
             self.cache.save()
         if self._tracer is not None:

@@ -38,6 +38,11 @@ Actions:
 Tests may also arm points programmatically with :func:`install`
 (including a callable action) and reset with :func:`clear`.
 
+A compute pool worker reads the spec when it starts and counts hits
+from then on.  The process's shared pool outlives a run, so its hits
+count across the runs of one process; setting a new spec reopens it
+(:func:`~repro.pipeline.pool.shared`).
+
 Instrumented points in this repo (grep ``fault_point(`` for the list):
 
 - ``campaign:post-seed`` / ``campaign:post-round`` — right after the

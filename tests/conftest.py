@@ -15,6 +15,7 @@ from repro.compiler.driver import Compiler
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.suite import TestSuite
 from repro.llm.model import DeepSeekCoderSim
+from repro.pipeline import pool
 from repro.probing.prober import NegativeProber
 from repro.runtime.executor import Executor
 
@@ -35,9 +36,35 @@ def _leaks() -> list[str]:
     return threads + children
 
 
+@pytest.fixture(autouse=True)
+def _close_shared_pool():
+    """Close the process's shared compute pool after each test: workers
+    forked for one test would not see the next test's monkeypatches."""
+    yield
+    pool.close_shared()
+
+
+@pytest.fixture()
+def only_shared_workers():
+    """A check for after a pooled run: the live children are exactly
+    the shared compute pool's workers, and none is left once it is
+    closed."""
+
+    def check() -> None:
+        shared = pool._shared
+        workers = set() if shared is None else {p.pid for p in shared._processes}
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+        pool.close_shared()
+        assert multiprocessing.active_children() == []
+
+    return check
+
+
+@pytest.hookimpl(trylast=True)
 def pytest_runtest_teardown(item, nextitem):
-    """After the last test of this directory: fail on a leaked service
-    or non-daemon thread, or a live child process.
+    """After the last test of this directory, once its fixtures are torn
+    down: fail on a leaked service or non-daemon thread, or a live
+    child process.
 
     A pooled validation run forks; a thread holding a lock at fork time
     can deadlock the child, and the benchmarks that run next measure

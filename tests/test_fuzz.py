@@ -15,7 +15,6 @@ Covers the ISSUE-5 acceptance criteria directly:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import threading
@@ -491,10 +490,12 @@ def _fuzz_counts(delta: dict) -> dict:
 
 
 class TestDifferentialPool:
-    """``workers >= 2`` runs the oracle in a campaign-scoped process
+    """``workers >= 2`` runs the oracle in the process's shared compute
     pool; ``workers=1`` is the in-process spec it must match."""
 
-    def test_spawned_pool_matches_the_in_process_digest(self, monkeypatch):
+    def test_spawned_pool_matches_the_in_process_digest(
+        self, monkeypatch, only_shared_workers
+    ):
         from repro.pipeline import pool as compute
 
         monkeypatch.setattr(compute, "default_start_method", lambda: "spawn")
@@ -502,7 +503,7 @@ class TestDifferentialPool:
         serial = Campaign(replace(config, workers=1)).run()
         pooled = Campaign(config).run()
         assert pooled.digest() == serial.digest()
-        assert multiprocessing.active_children() == []
+        only_shared_workers()
 
     def test_traced_pool_parents_worker_spans_under_the_run_span(self):
         tracer = Tracer()
@@ -530,7 +531,7 @@ class TestDifferentialPool:
     @pytest.mark.parametrize("triage", ["divergent", "all", "off"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_pooled_counts_equal_in_process_counts(
-        self, start_method, triage, cached, monkeypatch
+        self, start_method, triage, cached, monkeypatch, only_shared_workers
     ):
         from repro.pipeline import pool as compute
 
@@ -548,7 +549,7 @@ class TestDifferentialPool:
         assert ("cache_lookups_total{fuzz,miss}" in counts) == cached
         assert ("cache_lookups_total{judge,miss}" in counts) == (cached and triage == "all")
         assert runs[1] == runs[0]
-        assert multiprocessing.active_children() == []
+        only_shared_workers()
 
     def test_a_cache_loaded_from_disk_computes_nothing_in_a_worker(
         self, tmp_path, monkeypatch

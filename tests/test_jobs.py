@@ -15,6 +15,7 @@ Three layers:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -74,13 +75,13 @@ BAD_WORKERS = [(os.cpu_count() or 1) + 1, 0, "2"]
 
 @pytest.fixture()
 def refuse_pools(monkeypatch):
-    """Make a campaign's compute pool fail the test instead of forking."""
+    """Make a campaign's borrow of the shared compute pool fail the test
+    instead of forking or reusing its workers."""
 
-    class Refused:
-        def __init__(self, workers):
-            raise AssertionError(f"a compute pool of {workers} was opened")
+    def refused(workers):
+        raise AssertionError(f"a compute pool of {workers} was opened")
 
-    monkeypatch.setattr("repro.fuzz.campaign.ComputePool", Refused)
+    monkeypatch.setattr("repro.pipeline.pool.shared", refused)
 
 
 def wait_until(predicate, timeout: float = 120.0, interval: float = 0.1):
@@ -309,6 +310,30 @@ class TestJobsHTTP:
         finished = client.wait_for_job(record["id"], timeout=180.0)
         assert finished["state"] == "done", finished.get("error")
         assert finished["result"]["digest"] == tiny_digest
+
+    def test_drain_after_a_pooled_campaign_job_leaves_no_worker(self, tmp_path):
+        """The job's campaign borrows the process's shared pool, which
+        outlives the job; the daemon's drain closes it."""
+        from repro.pipeline import pool
+
+        server = make_server(port=0, max_latency=0.01, jobs_dir=str(tmp_path / "jobs"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = client_for(server)
+            spec = replace(TINY_CAMPAIGN, workers=2).to_json()
+            record = client.submit_job("campaign", spec)
+            finished = client.wait_for_job(record["id"], timeout=180.0)
+            assert finished["state"] == "done", finished.get("error")
+            workers = {p.pid for p in pool._shared._processes}
+            assert len(workers) == 2
+            assert {p.pid for p in multiprocessing.active_children()} == workers
+        finally:
+            server.service.drain(timeout=30.0)
+            server.shutdown()
+            server.server_close()
+            thread.join(10.0)
+        assert multiprocessing.active_children() == []
 
     def test_bad_spec_is_http_400(self, jobs_server):
         client = client_for(jobs_server)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.validator import TestsuiteValidator
 from repro.judge.prompts import agent_direct_prompt, agent_indirect_prompt, direct_prompt
 from repro.llm.analysis import ShallowAnalyzer
 from repro.llm.knowledge import DirectiveKnowledge, edit_distance
@@ -42,6 +43,44 @@ class TestTokenizer:
     def test_truncate_noop_for_short_text(self):
         tok = SimTokenizer()
         assert tok.truncate("short", 100) == "short"
+
+    def test_count_is_the_length_of_tokenize_for_every_judge_exchange(
+        self, acc_probed, omp_probed, monkeypatch
+    ):
+        """``count`` skips building the pieces; it must still count them
+        all, over every prompt (whole and as the model truncates it) and
+        response the judge exchanges on the probed corpus."""
+        texts = []
+        generate = DeepSeekCoderSim.generate
+
+        def recorded(model, prompt, attempt=0):
+            response = generate(model, prompt, attempt)
+            texts.extend(
+                (prompt, model.tokenizer.truncate(prompt, model.max_context_tokens), response)
+            )
+            return response
+
+        monkeypatch.setattr(DeepSeekCoderSim, "generate", recorded)
+        for flavor, probed in (("acc", acc_probed), ("omp", omp_probed)):
+            for judge_kind in ("direct", "indirect"):
+                TestsuiteValidator(
+                    flavor=flavor, judge_kind=judge_kind, early_exit=False, workers=1
+                ).validate(list(probed))
+        assert len(texts) >= 3 * 4 * len(acc_probed)
+        tok = SimTokenizer()
+        assert [tok.count(text) for text in texts] == [
+            len(tok.tokenize(text)) for text in texts
+        ]
+
+    def test_truncate_keeps_a_fitting_ascii_text_and_cuts_the_rest(self):
+        tok = SimTokenizer()
+        text = "int main() {\n    return 0;\n}\n"
+        assert tok.truncate(text, len(text)) == text
+        assert tok.truncate(text, tok.count(text)) == text
+        assert tok.truncate(text, 4) == "int main("
+        # outside ASCII the text is the tokens' text, not the input's
+        text = "café au lait"
+        assert tok.truncate(text, 100) == "".join(tok.tokenize(text))
 
 
 class TestKnowledge:

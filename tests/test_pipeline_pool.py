@@ -1,15 +1,17 @@
 """A pooled validation run against its in-process spec.
 
 ``TestsuiteValidator(workers=N >= 2)`` runs each file's compile →
-execute → judge chain as one task in a run-scoped
-:class:`~repro.pipeline.pool.ComputePool`; ``workers=1`` calls the
-chain in a loop, the in-process spec.  These tests hold the pooled run
-to that spec on the 72-file probed corpus: verdict bytes, stage and
-cache counts (fork and spawn, early-exit and record-all), what it
-leaves in a shared cache, where its spans hang, and what a dead worker
-does.  The daemon must never open the pool: it already parallelises
-across processes.  ``CorpusGenerator(workers=2)`` checks its rendered
-files in the same pool, and ``workers=1`` is its spec.
+execute → judge chain as one task in the process's shared
+:class:`~repro.pipeline.pool.ComputePool` (:func:`pool.shared
+<repro.pipeline.pool.shared>`); ``workers=1`` calls the chain in a
+loop, the in-process spec.  These tests hold the pooled run to that
+spec on the 72-file probed corpus: verdict bytes, stage and cache
+counts (fork and spawn, early-exit and record-all), what it leaves in a
+shared cache, where its spans hang, what a dead worker does, and how
+the shared pool lives across runs.  The daemon's batches must never
+borrow it: the daemon already parallelises across processes.
+``CorpusGenerator(workers=2)`` checks its rendered files in the same
+pool, and ``workers=1`` is its spec.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.core.validator import TestsuiteValidator
 from repro.corpus.generator import CorpusGenerator, CorpusValidationError
 from repro.corpus.suite import TestSuite
 from repro.llm.model import DeepSeekCoderSim
+from repro.obs import trace
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import Tracer, installed
 from repro.pipeline import engine, pool
@@ -113,7 +116,8 @@ class TestPooledIdentity:
     @pytest.mark.parametrize("early_exit", [True, False], ids=["early-exit", "record-all"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_verdict_bytes_and_counts_equal_the_in_process_run(
-        self, corpus, reference, start_method, early_exit, monkeypatch
+        self, corpus, reference, start_method, early_exit, monkeypatch,
+        only_shared_workers,
     ):
         expected = _run(corpus, workers=1, early_exit=early_exit, cache=PipelineCache())
         if early_exit:
@@ -127,7 +131,7 @@ class TestPooledIdentity:
         judged = counts[("pipeline_stage_items_total", (("stage", "judge"),))]
         assert 0 < judged < 72 if early_exit else judged == 72
         assert any(key[0] == "cache_lookups_total" for key in counts)
-        assert multiprocessing.active_children() == []
+        only_shared_workers()
 
     def test_uncached_pooled_run_matches_too(self, corpus, reference):
         assert _verdicts(corpus, workers=2) == reference
@@ -336,17 +340,16 @@ def _lookups(delta: dict) -> dict:
     }
 
 
-def refuse_pools(monkeypatch, where=engine) -> list:
-    """Make opening a compute pool (as ``where`` names it) fail the
-    test; returns the attempts."""
+def refuse_pools(monkeypatch) -> list:
+    """Make borrowing the shared compute pool fail the test, whether it
+    would open the pool or find it open; returns the attempts."""
     opened = []
 
-    class Refused:
-        def __init__(self, workers, **kwargs):
-            opened.append(workers)
-            raise AssertionError("a compute pool was opened")
+    def refused(workers):
+        opened.append(workers)
+        raise AssertionError("a compute pool was opened")
 
-    monkeypatch.setattr(where, "ComputePool", Refused)
+    monkeypatch.setattr(pool, "shared", refused)
     return opened
 
 
@@ -395,7 +398,9 @@ class TestPooledTracing:
 
 
 class TestPooledSharedOutcomes:
-    def test_twin_files_under_contention_absorb_each_outcome_once(self, corpus):
+    def test_twin_files_under_contention_absorb_each_outcome_once(
+        self, corpus, only_shared_workers
+    ):
         """A run where every file appears twice: the pool computes each
         outcome once, its telemetry is absorbed once, and each twin's
         chain runs here after it."""
@@ -409,7 +414,7 @@ class TestPooledSharedOutcomes:
         ]
         remote = [s for s in tracer.spans if s.name == "worker.pipeline"]
         assert len(remote) == engine.MIN_POOLED_FILES
-        assert multiprocessing.active_children() == []
+        only_shared_workers()
 
 
 class TestPooledCrash:
@@ -452,6 +457,14 @@ def _live_processes_mentioning(needle: str) -> list[int]:
         if needle.encode() in cmdline and state != "Z":
             pids.append(int(entry.name))
     return pids
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (a zombie is not)."""
+    try:
+        return (Path(f"/proc/{pid}") / "stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def _write_sources(corpus, directory: Path) -> list[str]:
@@ -544,7 +557,10 @@ def _generate(workers: int, model: str, count: int, **generator_args) -> tuple:
 
 
 def count_pools(monkeypatch) -> list:
-    """Record the size of every compute pool the generator opens."""
+    """Record the size of every compute pool opened from now on; the
+    shared one (a fixture's generation may have opened it) is closed
+    first, so the next borrow opens one."""
+    pool.close_shared()
     opened = []
 
     class Counted(pool.ComputePool):
@@ -554,6 +570,151 @@ def count_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(pool, "ComputePool", Counted)
     return opened
+
+
+class TestSharedPool:
+    """Pooled runs in one process borrow one long-lived pool: the first
+    run forks its workers, later runs reuse them, and a crash, an
+    exception or a new key makes the next run start from fresh ones."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_validations_in_one_process_open_one_pool(
+        self, corpus, reference, start_method, monkeypatch, only_shared_workers
+    ):
+        monkeypatch.setattr(pool, "default_start_method", lambda: start_method)
+        opened = count_pools(monkeypatch)
+        for _ in range(2):  # each validates acc, then omp: four pooled runs
+            assert _verdicts(corpus, workers=2, cache=PipelineCache()) == reference
+        assert opened == [2]
+        only_shared_workers()
+
+    def test_a_crash_closes_the_pool_and_the_next_run_reopens_it(
+        self, corpus, reference, monkeypatch, only_shared_workers
+    ):
+        files = corpus["acc"]
+        expected = {t.name: reference[t.name] for t in files}
+        opened = count_pools(monkeypatch)
+        monkeypatch.setenv(faultinject.ENV_VAR, "pipeline:worker-compute@2=kill")
+        with pytest.raises(ComputeWorkerCrash):
+            _verdicts({"acc": files}, workers=2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.delenv(faultinject.ENV_VAR)
+        assert _verdicts({"acc": files}, workers=2) == expected
+        assert opened == [2, 2]
+        only_shared_workers()
+
+    def test_a_pool_with_a_dead_worker_is_reopened_at_the_next_borrow(
+        self, corpus, reference, monkeypatch, only_shared_workers
+    ):
+        files = corpus["acc"]
+        expected = {t.name: reference[t.name] for t in files}
+        opened = count_pools(monkeypatch)
+        assert _verdicts({"acc": files}, workers=2) == expected
+        (victim, survivor) = multiprocessing.active_children()
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10)
+        assert _verdicts({"acc": files}, workers=2) == expected
+        assert opened == [2, 2]
+        assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
+        only_shared_workers()
+
+    def test_an_exception_mid_run_leaves_no_worker(self, corpus, reference, monkeypatch):
+        """Ctrl-C (or the CLI's SIGTERM) while the parent folds in the
+        first task's result: the pool closes, nothing of the run stays
+        queued, and the next run matches the spec."""
+        files = corpus["acc"]
+        replay = engine.replay
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "replay", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _verdicts({"acc": files}, workers=2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(engine, "replay", replay)
+        assert _verdicts({"acc": files}, workers=2) == {
+            t.name: reference[t.name] for t in files
+        }
+
+    def test_a_fault_spec_set_after_the_pool_opened_reaches_the_next_run(
+        self, corpus, reference, monkeypatch
+    ):
+        files = corpus["acc"]
+        assert _verdicts({"acc": files}, workers=2) == {
+            t.name: reference[t.name] for t in files
+        }
+        monkeypatch.setenv(faultinject.ENV_VAR, "pipeline:worker-compute@2=kill")
+        with pytest.raises(ComputeWorkerCrash):
+            _verdicts({"acc": files}, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_tracer_installed_after_the_pool_opened_gets_fresh_workers(
+        self, corpus, reference, monkeypatch
+    ):
+        """Instrumentation installed with a tracer (perfbench wraps the
+        layers' entry points so) reaches the workers of the next run."""
+        files = corpus["acc"]
+        expected = {t.name: reference[t.name] for t in files}
+        opened = count_pools(monkeypatch)
+        assert _verdicts({"acc": files}, workers=2) == expected
+        compile_ = Compiler.compile
+
+        def spanned(self, *args, **kwargs):
+            with trace.span("layer.compile"):
+                return compile_(self, *args, **kwargs)
+
+        tracer = Tracer()
+        with installed(tracer):
+            monkeypatch.setattr(Compiler, "compile", spanned)
+            assert _verdicts({"acc": files}, workers=2) == expected
+        assert opened == [2, 2]
+        assert any(
+            s.name == "layer.compile" and s.pid != os.getpid() for s in tracer.spans
+        )
+
+    def test_a_run_that_ends_early_leaves_no_task_queued(self, monkeypatch):
+        """A generation whose first checks fail reads only the first
+        result; the rest of its checks are cancelled or finished before
+        the next run's tasks queue."""
+        expected = _generate(1, "acc", 30, step_limit=10)
+        assert _generate(2, "acc", 30, step_limit=10) == expected
+        shared = pool._shared
+        assert shared is not None and all(f.done() for f in shared._pending)
+        assert _generate(2, "acc", 30, step_limit=10) == expected
+
+    def test_a_borrow_while_a_run_holds_the_pool_gets_a_pool_of_its_own(self):
+        with pool.shared(2) as held:
+            with pool.shared(2) as own:
+                assert own is not held
+                assert own.submit(os.getpid).result() in {p.pid for p in own._processes}
+            assert own.alive == 0
+            assert pool._shared is held and held.alive == 2
+
+    def test_a_process_that_validates_pooled_and_exits_leaves_no_worker(self, tmp_path):
+        script = (
+            "import json\n"
+            "from repro.core.validator import TestsuiteValidator\n"
+            "from repro.corpus.generator import CorpusGenerator\n"
+            "from repro.pipeline import pool\n"
+            "files = CorpusGenerator(seed=11).generate('acc', 36)\n"
+            "for _ in range(2):\n"
+            "    TestsuiteValidator(flavor='acc').validate(files)\n"
+            "print(json.dumps([p.pid for p in pool._shared._processes]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+        env.pop(faultinject.ENV_VAR, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = json.loads(proc.stdout)
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in pids):
+            assert time.monotonic() < deadline, "a pool worker outlived its process"
+            time.sleep(0.1)
 
 
 class TestPooledGeneration:
@@ -569,7 +730,7 @@ class TestPooledGeneration:
         ids=["acc", "omp", "acc-failing-checks", "acc-every-check-failing"],
     )
     def test_pooled_corpus_equals_the_in_process_corpus(
-        self, model, count, step_limit, start_method, monkeypatch
+        self, model, count, step_limit, start_method, monkeypatch, only_shared_workers
     ):
         limit = {} if step_limit is None else {"step_limit": step_limit}
         expected = _generate(1, model, count, **limit)
@@ -577,7 +738,7 @@ class TestPooledGeneration:
         opened = count_pools(monkeypatch)
         assert _generate(2, model, count, **limit) == expected
         assert opened == [2]
-        assert multiprocessing.active_children() == []
+        only_shared_workers()
         files, failures, _ = expected
         if step_limit == 20_000:
             # the very first file fails: the whole corpus runs in-process
@@ -594,7 +755,7 @@ class TestPooledGeneration:
             CorpusGenerator(seed=11, workers=1).generate("acc", count)
             for count in (small, 36)
         ]
-        refuse_pools(monkeypatch, where=pool)
+        refuse_pools(monkeypatch)
         assert CorpusGenerator(seed=11).generate("acc", small) == expected[0]
         cached = CorpusGenerator(seed=11, cache=PipelineCache())
         assert cached.generate("acc", 36) == expected[1]
